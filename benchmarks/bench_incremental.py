@@ -1,16 +1,16 @@
 """Incremental STA speedup (the practical payoff of fast stage evaluation).
 
 Timing closure loops edit one device at a time and re-time the design.
-With per-arc caching, only the edited stage and its loading-affected
-driver need fresh QWM evaluations.  This bench times a full analysis of
-an inverter/NAND chain versus the incremental re-analysis after a
-single transistor resize and reports the arc-evaluation counts.
+With the stage-result cache, only the edited stage and its
+loading-affected driver need fresh QWM evaluations, and isomorphic
+stages share solved arcs even within the first pass.  This bench times
+a full analysis of an inverter/NAND chain versus the incremental
+re-analysis after a single transistor resize and reports the arc
+counts (solved vs served from the cache).
 """
 
-import pytest
-
 from benchmarks.harness import format_table, run_once, save_result
-from repro.analysis import IncrementalTimer
+from repro.analysis import IncrementalTimer, StaticTimingAnalyzer
 from repro.circuit import extract_stages
 from repro.circuit.netlist import GND_NODE, VDD_NODE
 from repro.circuit.stage import FlatNetlist
@@ -63,7 +63,7 @@ def test_incremental_resize_speedup(benchmark, tech, library):
         t0 = time.perf_counter()
         first = timer.analyze()
         t_full = time.perf_counter() - t0
-        full_arcs = timer.last_stats.arcs_evaluated
+        full_stats = timer.last_stats
 
         # Resize one NMOS in the last stage and re-time.
         last = graph.stage_of_net["y"]
@@ -75,29 +75,36 @@ def test_incremental_resize_speedup(benchmark, tech, library):
         t_inc = time.perf_counter() - t0
         inc_stats = timer.last_stats
 
-        # Ground truth: a cold timer on the edited design agrees.
-        cold = IncrementalTimer(tech, graph, library=library).analyze()
-        return (first, second, cold, t_full, t_inc, full_arcs,
+        # Ground truth and the re-time the incremental pass replaces:
+        # an uncached full analysis of the edited design.
+        t0 = time.perf_counter()
+        cold = StaticTimingAnalyzer(tech, library=library).analyze(graph)
+        t_cold = time.perf_counter() - t0
+        return (first, second, cold, t_full, t_inc, t_cold, full_stats,
                 inc_stats)
 
-    (first, second, cold, t_full, t_inc, full_arcs,
+    (first, second, cold, t_full, t_inc, t_cold, full_stats,
      inc_stats) = run_once(benchmark, experiment)
 
-    assert second.worst.time == pytest.approx(cold.worst.time, rel=1e-9)
-    assert inc_stats.arcs_evaluated < full_arcs
-    speedup = t_full / t_inc
+    # Cache sharing is exact: bit-identical to the uncached arithmetic.
+    assert second.arrivals == cold.arrivals
+    assert inc_stats.arcs_evaluated < full_stats.arcs_evaluated
+    speedup = t_cold / t_inc
     save_result("incremental_sta.txt", format_table(
         "Incremental STA after one transistor resize (8-stage chain)",
         ["quantity", "value"],
         [
             ["stages", str(len(graph.stages))],
-            ["full analysis arcs", str(full_arcs)],
+            ["full analysis arcs", str(full_stats.total)],
+            ["full analysis arcs solved",
+             str(full_stats.arcs_evaluated)],
             ["incremental arcs re-evaluated",
              str(inc_stats.arcs_evaluated)],
             ["arcs served from cache", str(inc_stats.arcs_cached)],
-            ["full analysis time", f"{t_full * 1e3:.1f} ms"],
+            ["full analysis time (cached)", f"{t_full * 1e3:.1f} ms"],
+            ["full re-time (uncached)", f"{t_cold * 1e3:.1f} ms"],
             ["incremental time", f"{t_inc * 1e3:.1f} ms"],
-            ["speedup", f"{speedup:.1f}x"],
+            ["speedup vs uncached re-time", f"{speedup:.1f}x"],
             ["worst arrival (before)",
              f"{first.worst.time * 1e12:.1f} ps"],
             ["worst arrival (after)",

@@ -3,8 +3,8 @@
 Two questions, answered on the 3-bit decoder (the repo's largest
 levelized design):
 
-1. What does the worker pool buy?  Serial vs thread/process pools at
-   1/2/4 workers.  Note the honest caveat: this container exposes a
+1. What does the worker pool buy?  Serial vs process pools at 2/4
+   workers.  Note the honest caveat: this container exposes a
    single CPU core (``os.cpu_count() == 1``), so no wall-clock speedup
    is *possible* here — the sweep instead verifies the dispatch
    overhead stays small and records per-backend timings for machines
@@ -50,11 +50,10 @@ def test_backend_sweep_identical_arrivals(benchmark, tech, library):
     reference, t_serial = _analyze(tech, library, graph)
 
     configs = [("serial x1", ExecutionConfig())]
-    for backend in ("thread", "process"):
-        for workers in (2, 4):
-            configs.append((f"{backend} x{workers}",
-                            ExecutionConfig(workers=workers,
-                                            backend=backend)))
+    for workers in (2, 4):
+        configs.append((f"process x{workers}",
+                        ExecutionConfig(workers=workers,
+                                        backend="process")))
 
     rows = [["plain serial", f"{t_serial * 1e3:.1f} ms", "-", "ref"]]
     timings = {}

@@ -31,11 +31,7 @@ from repro.analysis.sta import (
     StaticTimingAnalyzer,
     StaResult,
 )
-from repro.analysis.incremental import (
-    IncrementalStats,
-    IncrementalTimer,
-    stage_signature,
-)
+from repro.analysis.incremental import IncrementalTimer
 from repro.analysis.parallel import (
     CanonicalForm,
     ExecutionConfig,
@@ -76,9 +72,7 @@ __all__ = [
     "ArrivalTime",
     "StaticTimingAnalyzer",
     "StaResult",
-    "IncrementalStats",
     "IncrementalTimer",
-    "stage_signature",
     "CanonicalForm",
     "ExecutionConfig",
     "ParallelStaEngine",

@@ -20,7 +20,7 @@ Sampling contract (what makes audits reproducible and comparable):
 * **Backend-independent** — the candidate set is the union of arcs
   noted during the run (workers ship their deltas home with the task
   payload, and set union commutes), and the audit solves happen in the
-  parent process; serial, thread and process runs therefore produce
+  parent process; serial and process runs therefore produce
   bit-identical audit records.
 
 Auditing is observability, not gating: odd arcs (no crossing, zero
@@ -202,7 +202,7 @@ def audit_arc(analyzer: StaticTimingAnalyzer, stage, sample: ArcSample,
                                  stats=qwm_stats)
     qwm_delay = arc[0] if arc is not None else None
     qwm_slew = arc[1] if arc is not None else None
-    quality = (arc[2] if arc is not None and len(arc) > 2 else None)
+    quality = arc[2] if arc is not None else None
     ref_stats = SimulationStats()
     reference = adaptive_spice_arc(
         analyzer, stage, sample.output, sample.direction,

@@ -4,15 +4,17 @@ The paper's pitch is that a K-transistor stage costs K small algebraic
 solves instead of thousands of SPICE steps; this module amortizes that
 across whole-graph analysis in two orthogonal ways:
 
-* **Scheduling** — :class:`ParallelStaEngine` dispatches the levelized
-  stage graph onto a worker pool (``concurrent.futures`` thread or
-  process backends behind one :class:`ExecutionConfig`).  Dispatch is
-  dependency-aware: a stage is submitted as soon as every fanin stage
-  has merged its arrival waveforms, not when its whole level barrier
-  clears.  Workers change *scheduling only*: every arc is evaluated by
+* **Scheduling** — :class:`ParallelStaEngine` is the one STA
+  scheduler: every :meth:`repro.analysis.sta.StaticTimingAnalyzer.
+  analyze` runs through it, in process (``serial``) or on a
+  ``concurrent.futures`` process pool (``process``), chosen by one
+  :class:`ExecutionConfig`.  Pool dispatch is dependency-aware: a stage
+  is submitted as soon as every fanin stage has merged its arrival
+  waveforms, not when its whole level barrier clears.  Workers change
+  *scheduling only*: every arc is evaluated by
   :func:`repro.analysis.sta.compute_stage_arrivals` — the same function
-  the serial loop runs — so arrival times are identical to the serial
-  engine bit for bit.
+  the serial scheduler runs — so arrival times are identical to the
+  serial run bit for bit.
 
 * **Stage-result caching** — :class:`StageResultCache` memoizes arc
   results ``(delay, output_slew)`` keyed by a canonical hash of stage
@@ -38,8 +40,7 @@ import threading
 import time
 from collections import OrderedDict
 from concurrent.futures import (FIRST_COMPLETED, BrokenExecutor,
-                                Executor, ProcessPoolExecutor,
-                                ThreadPoolExecutor, wait)
+                                ProcessPoolExecutor, wait)
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import (Callable, Dict, FrozenSet, Iterator, List, Optional,
@@ -62,7 +63,7 @@ from repro.resilience.journal import (JournalError, RunJournal,
                                       run_fingerprint)
 from repro.spice.results import SimulationStats
 
-BACKENDS = ("serial", "thread", "process")
+BACKENDS = ("serial", "process")
 
 #: (fingerprint, arc id) -> cached arc result.
 CacheKey = Tuple[str, str]
@@ -81,11 +82,10 @@ class ExecutionConfig:
 
     Attributes:
         workers: worker-pool size (ignored by the serial backend).
-        backend: ``"serial"`` (in-process loop, still cache-capable),
-            ``"thread"`` (shared-memory pool; low overhead, concurrency
-            bounded by how often the solver drops the GIL) or
-            ``"process"`` (true parallelism; per-worker start-up cost —
-            each worker receives the pickled characterized tables once).
+        backend: ``"serial"`` (in-process loop, still cache-capable)
+            or ``"process"`` (true parallelism; per-worker start-up
+            cost — each worker receives the pickled characterized
+            tables once).
         cache: enable stage-result caching.
         cache_size: in-memory LRU capacity (entries).
         cache_path: optional JSON store; loaded before the run (if it
@@ -522,7 +522,7 @@ class StageResultCache:
 
 
 # ----------------------------------------------------------------------
-# Worker-side evaluation (shared by every backend).
+# Stage evaluation (shared by the serial scheduler and the workers).
 # ----------------------------------------------------------------------
 def _cached_arc_fn(base: ArcFn, form: CanonicalForm,
                    cache_get: Callable[[CacheKey], object],
@@ -564,19 +564,23 @@ def _cached_arc_fn(base: ArcFn, form: CanonicalForm,
 
 def _evaluate_stage(analyzer: StaticTimingAnalyzer, stage: LogicStage,
                     snapshot: Dict[Event, ArrivalTime],
-                    cache: Optional[StageResultCache],
                     form: Optional[CanonicalForm],
                     bucket: Optional[float],
-                    clamp: Optional[str] = None
+                    clamp: Optional[str] = None,
+                    cache_get: Optional[Callable[[CacheKey],
+                                                 object]] = None,
+                    cache_put: Optional[Callable[[CacheKey, CachedArc],
+                                                 None]] = None
                     ) -> Tuple[Dict[Event, ArrivalTime],
                                SimulationStats]:
     """One stage task: arrivals for the stage's output events + cost.
 
-    All QWM cost is folded into a task-local accumulator, so thread
-    workers never touch shared mutable state.  A non-None ``clamp``
-    (admission control under deadline pressure) degrades the arc math;
-    clamped results may *read* the cache but are never stored — a
-    deadline-starved run must not poison the shared cache with
+    All QWM cost is folded into a task-local accumulator, returned
+    beside the arrivals.  With cache hooks (and a canonical ``form``)
+    every arc goes through :func:`_cached_arc_fn`.  A non-None
+    ``clamp`` (admission control under deadline pressure) degrades the
+    arc math; callers then pass a ``cache_put`` that drops the result —
+    a deadline-starved run must not poison the shared cache with
     bounded arcs a later unconstrained run would then reuse.
     """
     stats = SimulationStats()
@@ -590,11 +594,9 @@ def _evaluate_stage(analyzer: StaticTimingAnalyzer, stage: LogicStage,
                                   clamp=clamp)
 
     arc_fn: ArcFn = base
-    if cache is not None and form is not None:
-        cache_put = (cache.put if clamp is None
-                     else lambda key, value: None)
-        arc_fn = _cached_arc_fn(base, form, cache.get, cache_put,
-                                bucket)
+    if cache_get is not None and cache_put is not None \
+            and form is not None:
+        arc_fn = _cached_arc_fn(base, form, cache_get, cache_put, bucket)
     computed = compute_stage_arrivals(stage, snapshot, arc_fn,
                                       analyzer.propagate_slews,
                                       analyzer.input_slew)
@@ -666,35 +668,24 @@ def _process_stage_task(stage: LogicStage,
     analyzer = _WORKER_ANALYZER
     assert analyzer is not None, "worker pool initializer did not run"
     faults.worker_gate(stage.name)
-    stats = SimulationStats()
     new_entries: Dict[CacheKey, CachedArc] = {}
     hit_count = 0
 
-    def base(stage_, output, out_direction, switching_input, input_slew):
-        return analyzer.stage_arc(stage_, output, out_direction,
-                                  switching_input,
-                                  input_slew=input_slew, stats=stats,
-                                  clamp=clamp)
+    def cache_get(key: CacheKey):
+        nonlocal hit_count
+        if key in shipped:
+            hit_count += 1
+            return shipped[key]
+        return _MISS
 
-    arc_fn: ArcFn = base
-    if shipped is not None and form is not None:
-        def cache_get(key: CacheKey):
-            nonlocal hit_count
-            if key in shipped:
-                hit_count += 1
-                return shipped[key]
-            return _MISS
+    def cache_put(key: CacheKey, value: CachedArc) -> None:
+        shipped[key] = value
+        if clamp is None:
+            new_entries[key] = value
 
-        def cache_put(key: CacheKey, value: CachedArc) -> None:
-            shipped[key] = value
-            if clamp is None:
-                new_entries[key] = value
-
-        arc_fn = _cached_arc_fn(base, form, cache_get, cache_put,
-                                bucket)
-    computed = compute_stage_arrivals(stage, snapshot, arc_fn,
-                                      analyzer.propagate_slews,
-                                      analyzer.input_slew)
+    hooks = (cache_get, cache_put) if shipped is not None else (None, None)
+    computed, stats = _evaluate_stage(analyzer, stage, snapshot, form,
+                                      bucket, clamp, *hooks)
     prof = profiler()
     ledger = prof.drain() if prof.enabled else None
     acc = observatory()
@@ -938,10 +929,8 @@ class ParallelStaEngine:
             inc("sta.parallel.dispatch", backend="serial")
             with span("sta.stage.task", stage=stage.name,
                       wave=waves[stage.name]):
-                computed, stats = _evaluate_stage(
-                    self.analyzer, stage, arrivals, self.cache,
-                    forms[stage.name],
-                    self.config.cache_slew_bucket, clamp=clamp)
+                computed, stats = self._evaluate_here(
+                    stage, arrivals, forms[stage.name], clamp)
             arrivals.update(computed)
             stats_by_stage[stage.name] = stats
             remaining -= 1
@@ -962,11 +951,26 @@ class ParallelStaEngine:
                         faults.wave_gate(wave)
         return stats_by_stage
 
-    def _make_executor(self) -> Executor:
-        if self.config.backend == "thread":
-            return ThreadPoolExecutor(
-                max_workers=self.config.workers,
-                thread_name_prefix="sta-worker")
+    def _evaluate_here(self, stage: LogicStage,
+                       arrivals: Dict[Event, ArrivalTime],
+                       form: Optional[CanonicalForm],
+                       clamp: Optional[str]
+                       ) -> Tuple[Dict[Event, ArrivalTime],
+                                  SimulationStats]:
+        """Evaluate one stage in this process against the shared cache.
+
+        Clamped arcs may read the cache but are never stored.
+        """
+        cache = self.cache
+        if cache is None:
+            return _evaluate_stage(self.analyzer, stage, arrivals, form,
+                                   None, clamp)
+        put = cache.put if clamp is None else (lambda key, value: None)
+        return _evaluate_stage(self.analyzer, stage, arrivals, form,
+                               self.config.cache_slew_bucket, clamp,
+                               cache.get, put)
+
+    def _make_executor(self) -> ProcessPoolExecutor:
         evaluator = self.analyzer.evaluator
         return ProcessPoolExecutor(
             max_workers=self.config.workers,
@@ -985,7 +989,7 @@ class ParallelStaEngine:
                     journal: Optional[RunJournal] = None,
                     done: FrozenSet[str] = frozenset()
                     ) -> Dict[str, SimulationStats]:
-        """Dependency-counting dispatch onto a worker pool.
+        """Dependency-counting dispatch onto a process pool.
 
         A stage is submitted the moment its last fanin stage merges —
         there is no per-level barrier, so a deep narrow cone and a wide
@@ -1014,7 +1018,6 @@ class ParallelStaEngine:
         flight recorder is on, recoveries record an ``escalation``
         event with ``from_rung="worker"``.
         """
-        analyzer = self.analyzer
         config = self.config
         active = [stage for stage in order if stage.name not in done]
         stage_names = {stage.name for stage in active}
@@ -1093,10 +1096,8 @@ class ParallelStaEngine:
                           stage=stage.name)
             with span("sta.stage.task", stage=stage.name,
                       wave=waves[stage.name], redispatch=reason):
-                computed, stats = _evaluate_stage(
-                    analyzer, stage, arrivals, self.cache,
-                    forms[stage.name], config.cache_slew_bucket,
-                    clamp=clamp)
+                computed, stats = self._evaluate_here(
+                    stage, arrivals, forms[stage.name], clamp)
             complete(stage, computed, stats)
 
         def submit(stage: LogicStage) -> None:
@@ -1115,39 +1116,30 @@ class ParallelStaEngine:
                 run_in_parent(stage, "serial_only", clamp=clamp)
                 return
             form = forms[stage.name]
-            if config.backend == "thread":
-                future = executor.submit(
-                    _evaluate_stage, analyzer, stage, dict(arrivals),
-                    self.cache, form, config.cache_slew_bucket, clamp)
-            else:
-                relevant = set(stage.inputs)
-                relevant.update(node.name for node in stage.outputs)
-                snapshot = {event: arrival
-                            for event, arrival in arrivals.items()
-                            if event[0] in relevant}
-                shipped = (self.cache.entries_for(form.fingerprint)
-                           if self.cache is not None
-                           and form is not None else None)
-                future = executor.submit(
-                    _process_stage_task, stage, snapshot, form,
-                    shipped, config.cache_slew_bucket, clamp)
+            relevant = set(stage.inputs)
+            relevant.update(node.name for node in stage.outputs)
+            snapshot = {event: arrival
+                        for event, arrival in arrivals.items()
+                        if event[0] in relevant}
+            shipped = (self.cache.entries_for(form.fingerprint)
+                       if self.cache is not None
+                       and form is not None else None)
+            future = executor.submit(
+                _process_stage_task, stage, snapshot, form,
+                shipped, config.cache_slew_bucket, clamp)
             futures[future] = stage
             submitted_at[future] = time.monotonic()
 
         def merge_payload(stage: LogicStage, payload) -> None:
-            if config.backend == "thread":
-                computed, stats = payload
-            else:
-                (computed, stats, new_entries, hit_count, ledger,
-                 accuracy_delta) = payload
-                if self.cache is not None:
-                    self.cache.merge(new_entries)
-                    self.cache.record_external(
-                        hit_count, len(new_entries))
-                if ledger is not None:
-                    profiler().merge(ledger)
-                if accuracy_delta is not None:
-                    observatory().merge(accuracy_delta)
+            (computed, stats, new_entries, hit_count, ledger,
+             accuracy_delta) = payload
+            if self.cache is not None:
+                self.cache.merge(new_entries)
+                self.cache.record_external(hit_count, len(new_entries))
+            if ledger is not None:
+                profiler().merge(ledger)
+            if accuracy_delta is not None:
+                observatory().merge(accuracy_delta)
             complete(stage, computed, stats)
 
         def recover_broken_pool(first_casualty: LogicStage) -> None:

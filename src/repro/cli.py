@@ -8,7 +8,7 @@ Commands
     longest-path STA, and print the arrival/critical-path reports.
     Without a deck a built-in ``--bits`` address decoder is timed.
     ``--required 500p`` adds slack; ``--corners`` re-times at the
-    process corners.  ``--workers 4 --backend thread`` evaluates
+    process corners.  ``--workers 4 --backend process`` evaluates
     stages on a worker pool (identical arrivals, see
     :mod:`repro.analysis.parallel`); ``--cache`` / ``--cache-file``
     reuse solved arcs across isomorphic stages and runs.
@@ -131,7 +131,7 @@ import os
 import sys
 from typing import Dict, List, Optional
 
-from repro.analysis import IncrementalTimer
+from repro.analysis import StaticTimingAnalyzer
 from repro.analysis.report import (
     arrival_report,
     corner_report,
@@ -214,23 +214,18 @@ def _cmd_sta(args: argparse.Namespace) -> int:
     required = parse_value(args.required) if args.required else None
     audit = args.audit or 0
 
-    parallel = (args.workers > 1 or args.backend != "serial"
-                or args.cache or args.cache_file
-                or args.deadline is not None or args.journal)
-    execution = None
+    execution = ExecutionConfig(
+        workers=args.workers, backend=args.backend,
+        cache=bool(args.cache or args.cache_file),
+        cache_path=args.cache_file,
+        deadline=args.deadline, grace=args.grace,
+        journal_path=args.journal, resume=args.resume)
     cache = None
-    if parallel:
-        execution = ExecutionConfig(
-            workers=args.workers, backend=args.backend,
-            cache=bool(args.cache or args.cache_file),
-            cache_path=args.cache_file,
-            deadline=args.deadline, grace=args.grace,
-            journal_path=args.journal, resume=args.resume)
-        if execution.wants_cache:
-            # Built here (not inside the engine) so corner re-timing
-            # shares one cache and the hit/miss totals can be printed.
-            cache = StageResultCache(max_entries=execution.cache_size,
-                                     path=args.cache_file)
+    if execution.wants_cache:
+        # Built here (not inside the engine) so corner re-timing
+        # shares one cache and the hit/miss totals can be printed.
+        cache = StageResultCache(max_entries=execution.cache_size,
+                                 path=args.cache_file)
 
     resilience = None
     if args.no_escalation:
@@ -248,25 +243,17 @@ def _cmd_sta(args: argparse.Namespace) -> int:
             netlist = builders.decoder_netlist(technology,
                                                bits=args.bits)
         graph = extract_stages(netlist, tech=technology)
-        # An audited run needs the full analyzer (the auditor re-solves
-        # sampled arcs through stage_arc and the shadow-SPICE engine).
-        if parallel or resilience is not None or with_audit:
-            from repro.analysis import StaticTimingAnalyzer
+        analyzer = StaticTimingAnalyzer(technology, execution=execution,
+                                        cache=cache,
+                                        resilience=resilience)
+        if with_audit:
+            from repro.analysis.audit import analyze_with_audit
 
-            analyzer = StaticTimingAnalyzer(technology,
-                                            execution=execution,
-                                            cache=cache,
-                                            resilience=resilience)
-            if with_audit:
-                from repro.analysis.audit import analyze_with_audit
-
-                result, report = analyze_with_audit(
-                    analyzer, graph, audit, seed=args.audit_seed,
-                    band_pct=args.audit_band)
-                return graph, result, report
-            return graph, analyzer.analyze(graph), None
-        timer = IncrementalTimer(technology, graph)
-        return graph, timer.analyze(), None
+            result, report = analyze_with_audit(
+                analyzer, graph, audit, seed=args.audit_seed,
+                band_pct=args.audit_band)
+            return graph, result, report
+        return graph, analyzer.analyze(graph), None
 
     graph, result, audit_report = run(tech, with_audit=audit > 0)
     print(design_summary(graph, result))
@@ -805,7 +792,6 @@ def _cmd_replay(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    from repro.analysis import StaticTimingAnalyzer
     from repro.analysis.parallel import ExecutionConfig, StageResultCache
     from repro.obs import (FlightConfig, configure_flight, disable_flight,
                            render_report, summarize_ledger)
@@ -828,11 +814,15 @@ def _cmd_report(args: argparse.Namespace) -> int:
     if args.cache or args.workers > 1:
         execution = ExecutionConfig(
             workers=args.workers,
-            backend="thread" if args.workers > 1 else "serial",
+            backend="process" if args.workers > 1 else "serial",
             cache=args.cache)
         if args.cache:
             cache = StageResultCache()
 
+    if args.workers > 1:
+        print("note: pool workers keep their own flight ledgers; the "
+              "report covers only the solves run in this process",
+              file=sys.stderr)
     recorder = configure_flight(FlightConfig(
         enabled=True, event_limit=args.event_limit))
     audit_report = None
@@ -1094,7 +1084,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="worker-pool size for stage evaluation "
                           "(arrivals are identical to serial)")
     sta.add_argument("--backend", default="serial",
-                     choices=["serial", "thread", "process"],
+                     choices=["serial", "process"],
                      help="execution backend for --workers > 1")
     sta.add_argument("--cache", action="store_true",
                      help="enable the in-memory stage-result cache "
@@ -1317,7 +1307,8 @@ def build_parser() -> argparse.ArgumentParser:
     rep.add_argument("--bits", type=int, default=3,
                      help="address bits of the built-in decoder")
     rep.add_argument("--workers", type=int, default=1,
-                     help="thread-pool size for the STA run")
+                     help="process-pool size for the STA run (solves "
+                          "in pool workers are not in the report)")
     rep.add_argument("--cache", action="store_true",
                      help="enable the stage-result cache (the report "
                           "then shows cache attribution)")

@@ -196,7 +196,7 @@ class TestFlightLedgerBudget:
     def _parallel_ctx(self):
         return LintContext(
             options=QWMOptions(),
-            execution=SimpleNamespace(workers=4, backend="thread"))
+            execution=SimpleNamespace(workers=4, backend="process"))
 
     def test_warns_on_unbounded_parallel_capture(self):
         from repro.obs import FlightConfig, configure_flight, \

@@ -224,30 +224,6 @@ def _profiled_op_totals(tech, library, graph, backend, workers):
     return totals
 
 
-def test_thread_backend_counts_match_serial(tech, library,
-                                            decoder_graph):
-    """Thread workers merge into the same solver counts as serial.
-
-    ``table_evaluations`` is excluded here: threads share the library's
-    table objects, so the per-solve query meter attributes a query to
-    whichever concurrent solve drains the shared counter first.  The
-    totals the solver controls directly (regions, Newton iterations,
-    linear solves, ...) must still agree exactly; the process backend
-    test below covers every op including table queries because each
-    worker owns its tables.
-    """
-    def solver_ops(totals):
-        return {key: amount for key, amount in totals.items()
-                if key[-1] != "table_evaluations"}
-
-    serial = _profiled_op_totals(tech, library, decoder_graph,
-                                 "serial", 1)
-    threaded = _profiled_op_totals(tech, library, decoder_graph,
-                                   "thread", 2)
-    assert serial
-    assert solver_ops(threaded) == solver_ops(serial)
-
-
 @pytest.mark.slow
 def test_process_backend_counts_match_serial_and_repeat(
         tech, library, decoder_graph):
