@@ -52,10 +52,9 @@ from repro.analysis.sta import (ArcFn, ArrivalTime, Event, StaResult,
                                 primary_input_arrivals)
 from repro.circuit.netlist import LogicStage
 from repro.circuit.stage import StageGraph
-from repro.obs import inc, set_gauge, span
-from repro.obs.accuracy import observatory
+from repro import obs
+from repro.obs import count, inc, set_gauge, span
 from repro.obs.flight import flight
-from repro.obs.profile import profile_add, profiler
 from repro.resilience import faults
 from repro.resilience.budget import (CLAMP_FULL, AdmissionController,
                                      RunBudget)
@@ -351,7 +350,7 @@ class StageResultCache:
                 value = self._data[key]
                 self.hits += 1
                 inc("sta.cache", result="hit")
-                profile_add("cache_hits", 1, root="sta.cache")
+                count("cache_hits", 1, root="sta.cache")
                 return value
             self.misses += 1
             inc("sta.cache", result="miss")
@@ -612,34 +611,14 @@ _WORKER_ANALYZER: Optional[StaticTimingAnalyzer] = None
 
 
 def _process_worker_init(tech, library, options, propagate_slews,
-                         input_slew, flight_config=None,
-                         fault_plan=None, profile_config=None,
-                         accuracy_config=None) -> None:
+                         input_slew, obs_state, fault_plan=None) -> None:
     global _WORKER_ANALYZER
     _WORKER_ANALYZER = StaticTimingAnalyzer(
         tech, library=library, options=options,
         propagate_slews=propagate_slews, input_slew=input_slew)
-    if profile_config is not None and profile_config.enabled:
-        # Workers accumulate into their own ledgers; each stage task
-        # drains its ledger into the return payload so the parent can
-        # merge deterministically (cell-wise addition is commutative).
-        from repro.obs.profile import configure_profile
-
-        configure_profile(profile_config)
-    if accuracy_config is not None and accuracy_config.enabled:
-        # Same delta-shipping shape as the profiler: workers note arc
-        # candidates locally, each stage task drains them into the
-        # payload, and the parent's merge is a set union — so the
-        # audited candidate set is backend-independent.
-        from repro.obs.accuracy import configure_accuracy
-
-        configure_accuracy(accuracy_config)
-    if flight_config is not None and flight_config.enabled:
-        # Workers record into their own ledgers; bundles (the durable
-        # artifact) land in the shared bundle_dir either way.
-        from repro.obs.flight import configure_flight
-
-        configure_flight(flight_config)
+    # Fresh recorders configured like the parent's; each stage task
+    # ships its drained deltas home for an order-independent merge.
+    obs.install_worker(obs_state)
     # Fault plans follow the work into the pool so worker-scoped
     # faults (crash/hang) and solver faults fire where the chaos
     # harness aimed them; the worker marks itself so crash faults can
@@ -658,10 +637,9 @@ def _process_stage_task(stage: LogicStage,
     """Worker-process task: evaluate one stage against shipped cache.
 
     Returns (arrivals, stats, new cache entries, shipped-entry hits,
-    drained profile ledger or None, drained accuracy ledger or None);
-    the parent merges the new entries into the shared cache so later
-    dispatches of equal configurations hit, and merges the ledgers
-    into the parent profiler / accuracy observatory.  Clamped arcs
+    drained observability payload); the parent merges the new entries
+    into the shared cache so later dispatches of equal configurations
+    hit, and merges the payload into its own recorders.  Clamped arcs
     (deadline pressure) never enter ``new_entries`` — degraded
     results must not poison the shared cache.
     """
@@ -686,12 +664,7 @@ def _process_stage_task(stage: LogicStage,
     hooks = (cache_get, cache_put) if shipped is not None else (None, None)
     computed, stats = _evaluate_stage(analyzer, stage, snapshot, form,
                                       bucket, clamp, *hooks)
-    prof = profiler()
-    ledger = prof.drain() if prof.enabled else None
-    acc = observatory()
-    accuracy_delta = acc.drain() if acc.enabled else None
-    return computed, stats, new_entries, hit_count, ledger, \
-        accuracy_delta
+    return computed, stats, new_entries, hit_count, obs.drain()
 
 
 # ----------------------------------------------------------------------
@@ -977,9 +950,8 @@ class ParallelStaEngine:
             initializer=_process_worker_init,
             initargs=(self.analyzer.tech, evaluator.library,
                       evaluator.options, self.analyzer.propagate_slews,
-                      self.analyzer.input_slew, flight().config,
-                      faults.active_plan(), profiler().config,
-                      observatory().config))
+                      self.analyzer.input_slew, obs.worker_state(),
+                      faults.active_plan()))
 
     def _run_pooled(self, graph: StageGraph, order: List[LogicStage],
                     arrivals: Dict[Event, ArrivalTime],
@@ -1131,15 +1103,11 @@ class ParallelStaEngine:
             submitted_at[future] = time.monotonic()
 
         def merge_payload(stage: LogicStage, payload) -> None:
-            (computed, stats, new_entries, hit_count, ledger,
-             accuracy_delta) = payload
+            computed, stats, new_entries, hit_count, delta = payload
             if self.cache is not None:
                 self.cache.merge(new_entries)
                 self.cache.record_external(hit_count, len(new_entries))
-            if ledger is not None:
-                profiler().merge(ledger)
-            if accuracy_delta is not None:
-                observatory().merge(accuracy_delta)
+            obs.merge(delta)
             complete(stage, computed, stats)
 
         def recover_broken_pool(first_casualty: LogicStage) -> None:

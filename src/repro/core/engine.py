@@ -28,9 +28,8 @@ from repro.circuit.netlist import LogicStage
 from repro.core.path import DischargePath, extract_path
 from repro.core.qwm import QWMOptions, QWMSolution, QWMSolver
 from repro.linalg.newton import NewtonConvergenceError
-from repro.obs import inc, span
+from repro.obs import inc, phase, span
 from repro.obs.flight import flight
-from repro.obs.profile import profile_phase
 from repro.resilience import faults
 from repro.devices.table_model import TableModelLibrary
 from repro.devices.technology import Technology
@@ -188,13 +187,15 @@ class WaveformEvaluator:
             The QWM solution (waveforms + stats).
         """
         faults.check_stage_timeout()
-        with profile_phase("engine.evaluate", tag=stage.name), \
-                span("engine.evaluate", stage=stage.name, output=output,
-                     direction=direction):
+        with phase("engine.evaluate", tag=stage.name, stage=stage.name,
+                   output=output, direction=direction):
             self._preflight_stage(stage)
-            path = self.extract(stage, output, direction, inputs)
-            start = self.default_initial(path, precharge, inputs=inputs,
-                                         t_start=t_start)
+            with phase("path.extract"):
+                path = self.extract(stage, output, direction, inputs)
+            with phase("engine.dc_init"):
+                start = self.default_initial(path, precharge,
+                                             inputs=inputs,
+                                             t_start=t_start)
             if initial is not None:
                 start.update(initial)
             solver = QWMSolver(path, self.options)

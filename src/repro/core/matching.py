@@ -33,9 +33,8 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.core.path import DischargePath
-from repro.obs import inc
+from repro.obs import count, inc
 from repro.obs.accuracy import CONDITION_TAGS, note_region
-from repro.obs.profile import profile_add
 from repro.linalg.sherman_morrison import solve_bordered_tridiagonal
 from repro.linalg.tridiagonal import TridiagonalMatrix
 from repro.linalg.newton import (
@@ -334,6 +333,6 @@ class RegionSystem:
             return result
         finally:
             if sm_solves:
-                profile_add("sherman_morrison", sm_solves)
+                count("sherman_morrison", sm_solves)
             if lu_solves:
-                profile_add("dense_lu", lu_solves)
+                count("dense_lu", lu_solves)

@@ -41,10 +41,9 @@ from repro.circuit.elements import DeviceKind
 from repro.core.path import DischargePath
 from repro.core.waveforms import PiecewiseQuadraticWaveform, QuadraticPiece
 from repro.linalg.newton import NewtonConvergenceError, NewtonOptions
-from repro.obs import inc, observe, span
-from repro.obs.accuracy import accuracy_region_phase
+from repro.obs import inc, observe, phase as obs_phase, span
+from repro.obs.accuracy import CONDITION_TAGS
 from repro.obs.flight import flight
-from repro.obs.profile import profile_phase
 from repro.resilience import faults
 from repro.spice.results import SimulationStats, TransientResult
 from repro.spice.sources import SourceLike, as_source
@@ -164,12 +163,6 @@ def _condition_json(condition) -> Dict[str, object]:
         return {"kind": "turn_on",
                 "device_index": int(condition.device_index)}
     return {"kind": type(condition).__name__}
-
-
-#: Profiler region-kind tags (the taxonomy's middle axis).
-_CONDITION_TAGS = {"TurnOnCondition": "turn_on",
-                   "CrossingCondition": "crossing",
-                   "TimeCondition": "time"}
 
 
 class _TableQueryMeter:
@@ -726,20 +719,19 @@ class QWMSolver:
                   for s in [1.0, 0.3, 3.0, 0.1][:max(opts.max_retries, 1)]]
         if opts.waveform_order != 1:
             scales += [(1.0, 1), (0.3, 1)]
-        region_span = span("qwm.region", kind=type(condition).__name__,
-                           active=active)
-        # Profiler frame: (solver phase, region kind) — op counts are
-        # accumulated locally and flushed once at frame exit, never
-        # inside the Newton iteration loop (see lint rule SOL006).
-        region_phase = profile_phase(phase, tag=_CONDITION_TAGS.get(
-            type(condition).__name__, "region"))
+        # One frame: the profiler cell (solver phase, region kind), the
+        # ``qwm.region`` span and the accuracy capture's phase label.
+        # Op counts stay on the frame until exit, never flushed inside
+        # the Newton iteration loop (see lint rule SOL006).
+        kind = type(condition).__name__
         region_start = time.perf_counter()
         attempts = 0
         reasons: List[str] = []
         failed_iterations = 0
         region_queries = 0
-        with region_phase as prof, region_span, \
-                accuracy_region_phase(phase):
+        with obs_phase(phase, tag=CONDITION_TAGS.get(kind, "region"),
+                       span_name="qwm.region", kind=kind,
+                       active=active) as frame:
             for scale, order in scales:
                 attempts += 1
                 region_iterations = 0
@@ -804,10 +796,10 @@ class QWMSolver:
                 if meter is not None:
                     drained = meter.drain(stats)
                     region_queries += drained
-                    prof.count("table_evaluations", drained)
+                    frame.count("table_evaluations", drained)
                 if result is None:
                     inc("newton.convergence.failures")
-                    prof.count("newton_failures")
+                    frame.count("newton_failures")
                     continue
                 delta = tau_new - tau
                 order_f = float(order)
@@ -821,11 +813,10 @@ class QWMSolver:
                 observe("qwm.newton.iterations", region_iterations)
                 observe("qwm.region.wall_seconds",
                         time.perf_counter() - region_start)
-                prof.count("regions")
-                prof.count("newton_iterations", region_iterations)
-                prof.count("attempts", attempts)
-                region_span.set(iterations=region_iterations,
-                                attempts=attempts, order=order)
+                frame.count("regions")
+                frame.count("newton_iterations", region_iterations)
+                frame.count("attempts", attempts)
+                frame.set(order=order)
                 if rec is not None:
                     rec.record(
                         "region_solved", solve_id=self._solve_id,

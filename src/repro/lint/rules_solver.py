@@ -336,8 +336,7 @@ class FlightLedgerBudgetRule(LintRule):
 _HOT_PACKAGES = ("core", "linalg", "spice", "devices")
 #: Module-level telemetry/profiler helpers (called by bare name).
 _BARE_INSTRUMENTATION = frozenset({
-    "span", "inc", "observe", "set_gauge",
-    "profile_phase", "profile_add"})
+    "phase", "span", "count", "inc", "observe", "set_gauge"})
 #: Method-style instrumentation sinks (``recorder.record(...)``).
 _ATTR_INSTRUMENTATION = frozenset(
     _BARE_INSTRUMENTATION | {"record", "add_event"})
@@ -416,9 +415,9 @@ class HotLoopInstrumentationRule(LintRule):
                     "on every iteration of the hot path it measures",
                     _loc(source, node.lineno),
                     hint="accumulate into a local counter and flush "
-                         "once after the loop (profile_add / "
-                         "PhaseFrame.count), or guard the call with a "
-                         "sampling test (e.g. `if i % stride == 0`)")
+                         "once after the loop (count / frame.count on "
+                         "the enclosing phase), or guard the call with "
+                         "a sampling test (e.g. `if i % stride == 0`)")
 
     @staticmethod
     def _enclosing_iteration_loop(source, node: ast.Call

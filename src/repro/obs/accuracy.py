@@ -19,7 +19,7 @@ accuracy of 99%") is actually about.  It has three pieces:
   capture, tagged with the same taxonomy the profiler uses (region
   condition, active-node count K, ``qwm.phase12`` vs ``qwm.phase3``),
   so a per-arc error is attributable to a *phase*, not just a case.
-  When no capture is armed the hook is a thread-local read.
+  When no capture is armed the hook is one attribute check.
 
 * **History ledger** — append-only ``ACCURACY_history.jsonl`` entries
   (format :data:`HISTORY_FORMAT`) fed by the golden suite, audits and
@@ -39,13 +39,17 @@ import json
 import os
 import threading
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from contextlib import contextmanager
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+
+from repro.obs.trace import _LOCAL as _FRAMES
+from repro.obs.trace import RECORDING
 
 __all__ = [
     "AccuracyConfig", "AccuracyObservatory", "observatory",
     "configure_accuracy", "disable_accuracy", "note_arc_candidate",
-    "RegionCapture", "capture_regions", "accuracy_region_phase",
-    "note_region", "attribute_regions",
+    "RegionCapture", "capture_regions", "note_region",
+    "attribute_regions",
     "history_entry", "append_history_entry", "load_history_entries",
     "accuracy_regressions", "worst_regression",
     "LEDGER_FORMAT", "HISTORY_FORMAT", "CONDITION_TAGS",
@@ -56,10 +60,9 @@ LEDGER_FORMAT = "repro-accuracy-audit/1"
 #: History-ledger format tag (one JSONL entry per golden/audit run).
 HISTORY_FORMAT = "repro-accuracy-history/1"
 
-#: Region condition class -> attribution tag — the same mapping the
-#: phase profiler uses (:data:`repro.core.qwm._CONDITION_TAGS`), kept
-#: here so :mod:`repro.core.matching` can tag captures without
-#: importing :mod:`repro.core.qwm` (matching is imported *by* qwm).
+#: Region condition class -> region-kind tag, shared by the profiler
+#: cells (:mod:`repro.core.qwm`) and the capture notes
+#: (:mod:`repro.core.matching`).
 CONDITION_TAGS = {"TurnOnCondition": "turn_on",
                   "CrossingCondition": "crossing",
                   "TimeCondition": "time"}
@@ -113,7 +116,7 @@ class AccuracyObservatory:
         self.config = config or AccuracyConfig()
         #: Fast-path switch (plain attribute, mirrors ``Tracer.enabled``).
         self.enabled = self.config.enabled
-        self._lock = threading.Lock()
+        self._lock = threading.RLock()
         self._arcs: Dict[ArcKey, None] = {}
         self._records: Dict[ArcKey, Dict[str, Any]] = {}
         self._dropped = 0
@@ -161,21 +164,9 @@ class AccuracyObservatory:
             }
 
     def drain(self) -> Dict[str, Any]:
-        """Snapshot the ledger and reset it atomically.
-
-        The process backend drains the worker's observatory after
-        every stage task and ships the delta back with the payload;
-        the parent merges, so the parent's candidate set equals the
-        serial run's no matter how stages were scheduled.
-        """
+        """Snapshot the ledger (:meth:`to_json`) and reset it atomically."""
         with self._lock:
-            snapshot = {
-                "format": LEDGER_FORMAT,
-                "arcs": [list(key) for key in sorted(self._arcs)],
-                "records": [self._records[key]
-                            for key in sorted(self._records)],
-                "dropped_records": self._dropped,
-            }
+            snapshot = self.to_json()
             self._arcs = {}
             self._records = {}
             self._dropped = 0
@@ -235,17 +226,22 @@ def note_arc_candidate(stage: str, output: str, direction: str,
 # Region capture: thread-local residual attribution for one re-solve.
 # ----------------------------------------------------------------------
 class RegionCapture:
-    """Accumulates per-region residual notes during one QWM solve."""
+    """Accumulates per-region residual notes during one QWM solve.
 
-    __slots__ = ("notes", "phases")
+    Each note is labelled with the innermost :func:`repro.obs.phase`
+    open on this thread (``qwm.phase12`` / ``qwm.phase3`` around a
+    region solve).
+    """
+
+    __slots__ = ("notes",)
 
     def __init__(self) -> None:
         self.notes: List[Dict[str, Any]] = []
-        self.phases: List[str] = []
 
     def note(self, tag: str, k: int, residual_norm: float,
              iterations: int) -> None:
-        phase = self.phases[-1] if self.phases else "qwm"
+        phase = next((frame.phase for frame in reversed(_FRAMES.stack)
+                      if frame.phase), "qwm")
         self.notes.append({
             "phase": phase,
             "tag": tag,
@@ -258,82 +254,25 @@ class RegionCapture:
 _LOCAL = threading.local()
 
 
-def _active_capture() -> Optional[RegionCapture]:
-    return getattr(_LOCAL, "capture", None)
-
-
-class _CaptureScope:
-    """Context manager arming a :class:`RegionCapture` on this thread."""
-
-    __slots__ = ("capture", "_previous")
-
-    def __init__(self) -> None:
-        self.capture = RegionCapture()
-        self._previous: Optional[RegionCapture] = None
-
-    def __enter__(self) -> RegionCapture:
-        self._previous = getattr(_LOCAL, "capture", None)
-        _LOCAL.capture = self.capture
-        return self.capture
-
-    def __exit__(self, *exc: Any) -> None:
-        _LOCAL.capture = self._previous
-
-
-def capture_regions() -> _CaptureScope:
+@contextmanager
+def capture_regions() -> Iterator[RegionCapture]:
     """Arm region capture for the enclosed solve (thread-local)."""
-    return _CaptureScope()
-
-
-class _NoopContext:
-    """Shared do-nothing context when no capture is armed."""
-
-    __slots__ = ()
-
-    def __enter__(self) -> "_NoopContext":
-        return self
-
-    def __exit__(self, *exc: Any) -> None:
-        return None
-
-
-_NOOP_CONTEXT = _NoopContext()
-
-
-class _PhaseScope:
-    """Pushes a solver-phase label onto the active capture."""
-
-    __slots__ = ("_capture", "_phase")
-
-    def __init__(self, capture: RegionCapture, phase: str):
-        self._capture = capture
-        self._phase = phase
-
-    def __enter__(self) -> "_PhaseScope":
-        self._capture.phases.append(self._phase)
-        return self
-
-    def __exit__(self, *exc: Any) -> None:
-        self._capture.phases.pop()
-
-
-def accuracy_region_phase(phase: str):
-    """Label subsequent region notes with ``phase`` (no-op unarmed).
-
-    :meth:`repro.core.qwm.QWMSolver._solve_region` opens this around
-    each region solve with its profiler phase (``qwm.phase12`` for the
-    cascade, ``qwm.phase3`` for the milestone regions), so captured
-    residual notes carry the same phase taxonomy the profiler reports.
-    """
-    capture = getattr(_LOCAL, "capture", None)
-    if capture is None:
-        return _NOOP_CONTEXT
-    return _PhaseScope(capture, phase)
+    capture = RegionCapture()
+    previous = getattr(_LOCAL, "capture", None)
+    _LOCAL.capture = capture
+    RECORDING.update(captures=1)
+    try:
+        yield capture
+    finally:
+        _LOCAL.capture = previous
+        RECORDING.update(captures=-1)
 
 
 def note_region(tag: str, k: int, residual_norm: float,
                 iterations: int) -> None:
     """Note one converged region into the active capture (if armed)."""
+    if not RECORDING.captures:
+        return
     capture = getattr(_LOCAL, "capture", None)
     if capture is not None:
         capture.note(tag, k, residual_norm, iterations)

@@ -261,6 +261,16 @@ class Histogram(_Metric):
         slot.sum += value
         slot.count += 1
 
+    def _merge_series(self, series: dict) -> None:
+        """Add one :meth:`to_json` series into this histogram."""
+        slot = self._slot(series["labels"],
+                          lambda: _HistogramSlot(len(self.buckets)))
+        if slot is not None:
+            slot.counts = [a + b for a, b in zip(slot.counts,
+                                                 series["counts"])]
+            slot.sum += series["sum"]
+            slot.count += series["count"]
+
     def snapshot(self, **labels) -> Optional[dict]:
         """Buckets/counts/sum/count for one label set (None if empty)."""
         slot = self._series.get(_label_key(labels))
@@ -293,7 +303,7 @@ class MetricsRegistry:
         self.enabled = enabled
         self.max_series = max_series
         self._metrics: Dict[str, _Metric] = {}
-        self._lock = threading.Lock()
+        self._lock = threading.RLock()
         self.dropped_series = 0
 
     # ------------------------------------------------------------------
@@ -364,6 +374,31 @@ class MetricsRegistry:
                         for name in self.names()},
             "dropped_series": self.dropped_series,
         }
+
+    def drain(self) -> dict:
+        """Snapshot the registry (:meth:`to_json`) and reset it atomically."""
+        with self._lock:
+            snapshot = self.to_json()
+            self.reset()
+            return snapshot
+
+    def merge(self, payload: dict) -> None:
+        """Add a :meth:`to_json` dump into this registry.
+
+        Counters and histograms add, so the totals do not depend on the
+        order dumps arrive in; gauges stay this registry's own.
+        """
+        if not self.enabled:
+            return
+        for name, dump in sorted(payload["metrics"].items()):
+            for series in dump["series"]:
+                if dump["kind"] == "counter":
+                    self.counter(name, dump["help"]).inc(
+                        series["value"], **series["labels"])
+                elif dump["kind"] == "histogram":
+                    self.histogram(name, dump["help"], series["buckets"]
+                                   )._merge_series(series)
+        self.dropped_series += payload["dropped_series"]
 
     def export_json(self, path: str) -> str:
         with open(path, "w") as handle:

@@ -15,25 +15,27 @@ via explicit instrumentation frames in ``core`` (QWM phases 1-3),
 (per-arc frames, serial and parallel backends) and ``resilience``
 (escalation rungs).
 
-A frame is a phase label pushed onto a thread-local stack::
+Instrumented code opens frames through :func:`repro.obs.phase`, the
+one boundary that also feeds the tracer and the accuracy capture::
 
-    with profile_phase("qwm.region", tag="crossing") as ph:
+    with phase("qwm.phase3", tag="crossing") as frame:
         ...
-        ph.count("newton_iterations", region_iterations)
+        frame.count("newton_iterations", region_iterations)
 
 On exit the frame records one **cell** keyed by the full label path
-(``("sta.arc:nand3", "engine.evaluate:nand3", "qwm.phase3",
-"qwm.region:crossing")``) holding exclusive (self) seconds, a call
-count and the accumulated operation counts.  Counts are flushed once
-per frame — never per inner-loop iteration — which is the discipline
-lint rule ``SOL006-hot-loop-instrumentation`` enforces.
+(``("sta.arc:nand3", "resilience.rung:qwm", "engine.evaluate:nand3",
+"qwm.phase3:crossing")``) holding exclusive (self) seconds, a call
+count and the accumulated operation counts.  Counts are kept on the
+frame and flushed once at its exit — never per inner-loop iteration —
+which is the discipline lint rule ``SOL006-hot-loop-instrumentation``
+enforces.
 
-Like the flight recorder the profiler is process-wide, disabled by
-default, and every instrumentation point degrades to a single
-attribute check when off.  The cell ledger is deterministic and
-mergeable: per-worker ledgers drained by the process backend are added
-cell-wise (addition over sorted keys commutes), so a process-pool run
-reports operation counts bit-for-bit equal to the serial run.
+Like the flight recorder the profiler is process-wide and disabled by
+default.  The cell ledger is deterministic and mergeable: process
+workers ship their drained ledgers home (:func:`repro.obs.drain`) and
+the parent adds them cell-wise (addition over sorted keys commutes),
+so a process-pool run reports operation counts bit-for-bit equal to
+the serial run.
 
 Exports: :func:`to_collapsed` (Brendan Gregg collapsed stacks),
 :func:`to_speedscope` (speedscope JSON file format),
@@ -47,14 +49,14 @@ from __future__ import annotations
 
 import json
 import threading
-import time
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.obs.trace import _LOCAL, RECORDING, Frame, _nearest
+
 __all__ = [
     "ProfileConfig", "PhaseProfiler", "profiler", "configure_profile",
-    "disable_profile", "profile_phase", "profile_add",
-    "to_collapsed", "to_speedscope", "export_speedscope",
+    "disable_profile", "to_collapsed", "to_speedscope", "export_speedscope",
     "summarize_profile", "render_profile", "phase_self_seconds",
 ]
 
@@ -93,55 +95,11 @@ class _Cell:
         self.ops: Dict[str, float] = {}
 
 
-class _NoopPhase:
-    """Shared do-nothing frame returned when profiling is off."""
-
-    __slots__ = ()
-
-    def __enter__(self) -> "_NoopPhase":
-        return self
-
-    def __exit__(self, *exc: Any) -> None:
-        return None
-
-    def count(self, op: str, amount: float = 1.0) -> None:
-        return None
-
-
-NOOP_PHASE = _NoopPhase()
-
-
-class _PhaseFrame:
-    """One live phase frame (context manager)."""
-
-    __slots__ = ("_profiler", "path", "_ops", "_t0", "child_seconds")
-
-    def __init__(self, prof: "PhaseProfiler", path: Tuple[str, ...]):
-        self._profiler = prof
-        self.path = path
-        self._ops: Dict[str, float] = {}
-        self.child_seconds = 0.0
-        self._t0 = 0.0
-
-    def __enter__(self) -> "_PhaseFrame":
-        self._profiler._push(self)
-        self._t0 = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc: Any) -> None:
-        elapsed = time.perf_counter() - self._t0
-        self._profiler._pop(self, elapsed)
-
-    def count(self, op: str, amount: float = 1.0) -> None:
-        """Accumulate an operation count, flushed once at frame exit."""
-        self._ops[op] = self._ops.get(op, 0) + amount
-
-
 class PhaseProfiler:
     """Thread-safe phase-path ledger with deterministic merging.
 
-    Frames nest per thread (thread-local stacks), so concurrent thread
-    workers attribute correctly without sharing state on the hot path;
+    Frames nest per thread on the shared frame stack, so concurrent
+    threads attribute correctly without sharing state on the hot path;
     the ledger itself takes one lock per frame *exit*, never per
     operation counted.
     """
@@ -150,51 +108,31 @@ class PhaseProfiler:
         self.config = config or ProfileConfig()
         #: Fast-path switch (plain attribute, mirrors ``Tracer.enabled``).
         self.enabled = self.config.enabled
-        self._lock = threading.Lock()
+        self._lock = threading.RLock()
         self._cells: Dict[Tuple[str, ...], _Cell] = {}
         self._dropped = 0
-        self._local = threading.local()
 
     # ------------------------------------------------------------------
-    # Frame lifecycle
+    # Frames (on the shared stack of :mod:`repro.obs.trace`)
     # ------------------------------------------------------------------
-    def _stack(self) -> List[_PhaseFrame]:
-        stack = getattr(self._local, "stack", None)
-        if stack is None:
-            stack = self._local.stack = []
-        return stack
-
-    def phase(self, name: str, tag: Optional[str] = None) -> _PhaseFrame:
+    def phase(self, name: str, tag: Optional[str] = None) -> Frame:
         """Open a phase frame (``name:tag`` when a tag is given)."""
         label = f"{name}:{tag}" if tag else name
-        stack = self._stack()
-        parent = stack[-1].path if stack else ()
-        return _PhaseFrame(self, parent + (label,))
-
-    def _push(self, frame: _PhaseFrame) -> None:
-        self._stack().append(frame)
-
-    def _pop(self, frame: _PhaseFrame, elapsed: float) -> None:
-        stack = self._stack()
-        if stack and stack[-1] is frame:
-            stack.pop()
-        if stack:
-            stack[-1].child_seconds += elapsed
-        self_seconds = elapsed - frame.child_seconds
-        if self_seconds < 0.0:
-            self_seconds = 0.0
-        self._record(frame.path, self_seconds, 1, frame._ops)
+        return Frame(label, {}, profiler=self, label=label)
 
     def add(self, op: str, amount: float = 1.0,
             root: str = "unattributed") -> None:
         """Attribute an operation count to the current thread's frame.
 
-        Outside any frame the count lands on the single-element path
-        ``(root,)`` so it is never silently lost.
+        The count joins the innermost open frame of this profiler and
+        is flushed with it.  Outside any frame the count lands on the
+        single-element path ``(root,)`` so it is never silently lost.
         """
-        stack = getattr(self._local, "stack", None)
-        path = stack[-1].path if stack else (root,)
-        self._record(path, 0.0, 0, {op: amount})
+        frame = _nearest(_LOCAL.stack, "profiler", self)
+        if frame is not None:
+            frame.ops[op] = frame.ops.get(op, 0) + amount
+        else:
+            self._record((root,), 0.0, 0, {op: amount})
 
     def _record(self, path: Tuple[str, ...], self_seconds: float,
                 calls: int, ops: Dict[str, float]) -> None:
@@ -226,22 +164,9 @@ class PhaseProfiler:
                     "dropped_cells": self._dropped}
 
     def drain(self) -> Dict[str, Any]:
-        """Snapshot the ledger and reset it atomically.
-
-        The process backend drains the worker's ledger after every
-        stage task and ships the delta back with the task payload, so
-        the parent can merge per-task contributions deterministically.
-        """
+        """Snapshot the ledger (:meth:`to_json`) and reset it atomically."""
         with self._lock:
-            snapshot = {"format": LEDGER_FORMAT,
-                        "cells": [{"path": list(path),
-                                   "self_seconds": cell.self_seconds,
-                                   "calls": cell.calls,
-                                   "ops": {op: cell.ops[op]
-                                           for op in sorted(cell.ops)}}
-                                  for path, cell
-                                  in sorted(self._cells.items())],
-                        "dropped_cells": self._dropped}
+            snapshot = self.to_json()
             self._cells = {}
             self._dropped = 0
             return snapshot
@@ -279,31 +204,13 @@ def configure_profile(config: ProfileConfig) -> PhaseProfiler:
     """Install a fresh profiler for ``config`` and return it."""
     global _PROFILER
     _PROFILER = PhaseProfiler(config)
+    RECORDING.update(profiler=_PROFILER)
     return _PROFILER
 
 
 def disable_profile() -> PhaseProfiler:
     """Restore the default disabled profiler."""
     return configure_profile(ProfileConfig(enabled=False))
-
-
-# ----------------------------------------------------------------------
-# Hot-path helpers — one attribute check when profiling is disabled.
-# ----------------------------------------------------------------------
-def profile_phase(name: str, tag: Optional[str] = None):
-    """Open a phase frame on the current profiler (no-op when off)."""
-    prof = _PROFILER
-    if not prof.enabled:
-        return NOOP_PHASE
-    return prof.phase(name, tag)
-
-
-def profile_add(op: str, amount: float = 1.0,
-                root: str = "unattributed") -> None:
-    """Attribute an operation count to the current frame (no-op when off)."""
-    prof = _PROFILER
-    if prof.enabled:
-        prof.add(op, amount, root=root)
 
 
 # ----------------------------------------------------------------------

@@ -1,11 +1,13 @@
-"""Hierarchical tracing: spans, the trace buffer and exporters.
+"""Hierarchical tracing and the shared instrumentation frame stack.
 
 A *span* is a named, timed region of execution with free-form
-attributes.  Spans nest: entering a span pushes it on a thread-local
-stack, so a span finished while another is open records that span as
-its parent.  Finished spans land in a bounded, thread-safe buffer that
-exports as plain JSON or as Chrome ``trace_event`` format (load the
-file at ``chrome://tracing`` or https://ui.perfetto.dev).
+attributes.  Spans nest: every instrumentation frame — a span, a
+profiler frame or a :func:`repro.obs.phase` feeding both — is pushed on
+one thread-local stack, so a span finished while another is open
+records that span as its parent.  Finished spans land in a bounded,
+thread-safe buffer that exports as plain JSON or as Chrome
+``trace_event`` format (load the file at ``chrome://tracing`` or
+https://ui.perfetto.dev).
 
 The tracer never raises from the hot path: when disabled, ``span()``
 returns a shared stateless no-op context manager.
@@ -13,12 +15,13 @@ returns a shared stateless no-op context manager.
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Any, Dict, List, Optional
 
 from repro.obs.sinks import NullSink, Sink
 
@@ -53,50 +56,140 @@ class SpanRecord:
 
 
 class _NoopSpan:
-    """Shared do-nothing span for the disabled fast path."""
+    """Shared do-nothing frame for the disabled fast path.
+
+    Its methods are C callables that ignore their arguments, so a
+    disabled ``with`` runs no Python frame: entering returns the no-op
+    itself, exiting returns "" (falsy, so exceptions propagate).
+    """
 
     __slots__ = ()
 
-    def __enter__(self) -> "_NoopSpan":
-        return self
-
-    def __exit__(self, *exc) -> bool:
-        return False
-
-    def set(self, **attrs) -> None:
-        pass
-
 
 NOOP_SPAN = _NoopSpan()
+_NoopSpan.__enter__ = itertools.repeat(NOOP_SPAN).__next__  # type: ignore
+_NoopSpan.__exit__ = _NoopSpan.set = _NoopSpan.count = "".format  # type: ignore
 
 
-class _LiveSpan:
-    """An open span; created by :meth:`Tracer.span`."""
+_KEEP: Any = object()
 
-    __slots__ = ("_tracer", "name", "attrs", "span_id", "parent_id",
-                 "_start")
 
-    def __init__(self, tracer: "Tracer", name: str, attrs: dict):
-        self._tracer = tracer
+class _Recording:
+    """The process-wide frame consumers that are on.
+
+    ``tracer`` and ``profiler`` are the global ones while enabled, else
+    None.  ``any`` is the one flag the disabled hooks test: either is
+    on, or an accuracy capture is armed on some thread.  Their
+    installers keep it current through :meth:`update`.
+    """
+
+    tracer: Optional["Tracer"] = None
+    profiler: Any = None
+    captures = 0
+    any = False
+    _lock = threading.Lock()
+
+    def update(self, tracer: Any = _KEEP, profiler: Any = _KEEP,
+               captures: int = 0) -> None:
+        """Install a new global tracer or profiler, or arm (+1) or
+        disarm (-1) one capture."""
+        with self._lock:
+            if tracer is not _KEEP:
+                self.tracer = tracer if tracer.enabled else None
+            if profiler is not _KEEP:
+                self.profiler = profiler if profiler.enabled else None
+            self.captures += captures
+            self.any = (self.tracer is not None
+                        or self.profiler is not None or self.captures > 0)
+
+
+RECORDING = _Recording()
+
+
+class _Stacks(threading.local):
+    def __init__(self) -> None:
+        self.stack: List["Frame"] = []
+
+
+_LOCAL = _Stacks()
+
+
+class Frame:
+    """One open instrumentation frame (context manager).
+
+    It feeds up to two recorders: a ``tracer`` (one span ``name`` with
+    ``attrs``) and a ``profiler`` (one cell whose path ends in
+    ``label``).  An armed accuracy capture labels the region notes
+    taken inside with the innermost frame's ``phase``.
+    """
+
+    __slots__ = ("name", "attrs", "tracer", "span_id", "parent_id",
+                 "profiler", "label", "path", "ops", "child_seconds",
+                 "phase", "_start")
+
+    def __init__(self, name: str, attrs: Dict[str, Any],
+                 tracer: Optional["Tracer"] = None, profiler: Any = None,
+                 label: str = "", phase: str = ""):
         self.name = name
         self.attrs = attrs
-        self.span_id = -1
-        self.parent_id: Optional[int] = None
-        self._start = 0.0
+        self.tracer = tracer
+        self.profiler = profiler
+        self.label = label
+        self.ops: Dict[str, float] = {}
+        self.child_seconds = 0.0
+        self.phase = phase
 
     def set(self, **attrs) -> None:
-        """Attach or overwrite attributes while the span is open."""
+        """Attach or overwrite span attributes while the frame is open."""
         self.attrs.update(attrs)
 
-    def __enter__(self) -> "_LiveSpan":
-        self._tracer._enter(self)
+    def count(self, op: str, amount: float = 1.0) -> None:
+        """Add to the profiler cell's op count (flushed at exit) and to
+        the span attribute of the same name."""
+        if self.profiler is not None:
+            self.ops[op] = self.ops.get(op, 0) + amount
+        if self.tracer is not None:
+            self.attrs[op] = self.attrs.get(op, 0) + amount
+
+    def __enter__(self) -> "Frame":
+        stack = _LOCAL.stack
+        if self.tracer is not None:
+            parent = _nearest(stack, "tracer", self.tracer)
+            self.parent_id = parent.span_id if parent else None
+            self.span_id = next(self.tracer._ids)
+        if self.profiler is not None:
+            parent = _nearest(stack, "profiler", self.profiler)
+            self.path = (parent.path if parent else ()) + (self.label,)
+        stack.append(self)
         self._start = time.perf_counter()
         return self
 
     def __exit__(self, *exc) -> bool:
-        duration = time.perf_counter() - self._start
-        self._tracer._finish(self, duration)
+        elapsed = time.perf_counter() - self._start
+        stack = _LOCAL.stack
+        if stack and stack[-1] is self:
+            stack.pop()
+        elif self in stack:  # tolerate out-of-order exits
+            stack.remove(self)
+        if self.tracer is not None:
+            self.tracer._finish(self, elapsed)
+        if self.profiler is not None:
+            parent = _nearest(stack, "profiler", self.profiler)
+            if parent is not None:
+                parent.child_seconds += elapsed
+            self.profiler._record(
+                self.path, max(elapsed - self.child_seconds, 0.0), 1,
+                self.ops)
         return False
+
+
+def _nearest(stack: List[Frame], consumer: str,
+             owner: Any) -> Optional[Frame]:
+    """The innermost open frame feeding ``owner`` (a tracer or profiler)."""
+    for frame in reversed(stack):
+        if getattr(frame, consumer) is owner:
+            return frame
+    return None
 
 
 class Tracer:
@@ -119,39 +212,18 @@ class Tracer:
         self._lock = threading.Lock()
         self._records: List[SpanRecord] = []
         self._dropped = 0
-        self._next_id = 0
-        self._stacks = threading.local()
+        self._ids = itertools.count()
         #: perf_counter offset so exported timestamps start near zero.
         self._t0 = time.perf_counter()
 
     # ------------------------------------------------------------------
-    def span(self, name: str, attrs: Optional[dict] = None) -> _LiveSpan:
+    def span(self, name: str, attrs: Optional[dict] = None) -> Frame:
         """Open a span (use as a context manager)."""
         if not self.enabled:
             return NOOP_SPAN  # type: ignore[return-value]
-        return _LiveSpan(self, name, dict(attrs) if attrs else {})
+        return Frame(name, dict(attrs) if attrs else {}, tracer=self)
 
-    def _stack(self) -> list:
-        stack = getattr(self._stacks, "stack", None)
-        if stack is None:
-            stack = []
-            self._stacks.stack = stack
-        return stack
-
-    def _enter(self, span: _LiveSpan) -> None:
-        stack = self._stack()
-        span.parent_id = stack[-1].span_id if stack else None
-        with self._lock:
-            span.span_id = self._next_id
-            self._next_id += 1
-        stack.append(span)
-
-    def _finish(self, span: _LiveSpan, duration: float) -> None:
-        stack = self._stack()
-        if stack and stack[-1] is span:
-            stack.pop()
-        elif span in stack:  # tolerate out-of-order exits
-            stack.remove(span)
+    def _finish(self, span: Frame, duration: float) -> None:
         record = SpanRecord(
             span_id=span.span_id, parent_id=span.parent_id,
             name=span.name, start=span._start - self._t0,

@@ -19,8 +19,7 @@ import numpy as np
 from repro.circuit.netlist import LogicStage
 from repro.devices.technology import Technology
 from repro.linalg.newton import NewtonOptions, NewtonSolver
-from repro.obs import inc, span
-from repro.obs.profile import profile_phase
+from repro.obs import inc, phase
 from repro.spice.dc import logic_initial_condition, solve_dc
 from repro.spice.mna import StageEquations
 from repro.spice.results import SimulationStats, TransientResult
@@ -87,18 +86,14 @@ class TransientSimulator:
         Returns:
             Waveforms for every internal node, with solver statistics.
         """
-        with profile_phase("spice.transient", tag=self.stage.name) as pp, \
-                span("spice.transient", stage=self.stage.name,
-                     method=self.options.method,
-                     dt=self.options.dt) as sp:
+        with phase("spice.transient", tag=self.stage.name,
+                   stage=self.stage.name, method=self.options.method,
+                   dt=self.options.dt) as frame:
             result = self._run(inputs, initial)
-            sp.set(steps=result.stats.steps,
-                   newton_iterations=result.stats.newton_iterations)
-            pp.count("steps", result.stats.steps)
-            pp.count("newton_iterations", result.stats.newton_iterations)
-            pp.count("device_evaluations",
-                     result.stats.device_evaluations)
-        stats = result.stats
+            stats = result.stats
+            frame.count("steps", stats.steps)
+            frame.count("newton_iterations", stats.newton_iterations)
+            frame.count("device_evaluations", stats.device_evaluations)
         inc("spice.steps", stats.steps)
         inc("spice.newton.iterations", stats.newton_iterations)
         inc("spice.device.evaluations", stats.device_evaluations)

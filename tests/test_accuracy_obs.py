@@ -32,11 +32,11 @@ from repro.analysis.sta import StaticTimingAnalyzer
 from repro.circuit import builders
 from repro.circuit.stage import extract_stages
 from repro.cli import main
+from repro.obs import phase
 from repro.obs.accuracy import (
     AccuracyConfig,
     AccuracyObservatory,
     accuracy_regressions,
-    accuracy_region_phase,
     attribute_regions,
     capture_regions,
     configure_accuracy,
@@ -172,11 +172,18 @@ class TestRegionCapture:
     def test_no_capture_is_noop(self, tech, evaluator):
         # Outside a capture scope the hooks must not accumulate state.
         note_region("crossing", 2, 1e-12, 3)
-        with accuracy_region_phase("qwm.phase3"):
+        with phase("qwm.phase3"):
             pass
         with capture_regions() as capture:
             pass
         assert capture.notes == []
+        # Armed, phase() labels the notes taken inside it.
+        with capture_regions() as capture:
+            with phase("qwm.phase3", tag="crossing"):
+                note_region("crossing", 2, 1e-12, 3)
+            note_region("time", 1, 1e-12, 2)
+        assert [(n["phase"], n["tag"]) for n in capture.notes] == [
+            ("qwm.phase3", "crossing"), ("qwm", "time")]
 
     def test_attribute_regions_dominant_and_ties(self):
         notes = [
@@ -419,31 +426,35 @@ def test_disabled_overhead_under_one_percent(tech, evaluator):
     """Disabled accuracy hooks cost < 1% of a NAND3 solve.
 
     Arithmetic-budget style like the profiler's gate: per-call cost of
-    the disabled hooks times a generous over-estimate of hook sites
-    per solve, against the solve's own wall time.
+    the disabled hooks — the arc and region notes plus the ``phase()``
+    frame that labels region notes — times a generous over-estimate of
+    hook sites per solve, against the solve's own wall time.  Both
+    costs are the best of several interleaved samples, so one slow
+    moment of the machine cannot fail the gate on its own.
     """
     from repro.spice import ConstantSource, StepSource
-
-    n_calls = 20000
-    start = time.perf_counter()
-    for _ in range(n_calls):
-        note_arc_candidate("s", "out", "fall", "a", None)
-        note_region("crossing", 2, 1e-12, 3)
-        with accuracy_region_phase("qwm.phase12"):
-            pass
-    per_op = (time.perf_counter() - start) / n_calls
 
     stage = builders.nand_gate(tech, 3)
     sources = {"a0": StepSource(0.0, tech.vdd, 0.0)}
     for name in stage.inputs:
         sources.setdefault(name, ConstantSource(tech.vdd))
-    solution = evaluator.evaluate(stage, output="out",
-                                  direction="fall", inputs=sources)
-    stats = solution.stats
+    n_calls = 2000
+    per_op, solve = float("inf"), float("inf")
+    for _ in range(10):
+        start = time.perf_counter()
+        for _ in range(n_calls):
+            note_arc_candidate("s", "out", "fall", "a", None)
+            note_region("crossing", 2, 1e-12, 3)
+            with phase("qwm.phase12"):
+                pass
+        per_op = min(per_op, (time.perf_counter() - start) / n_calls)
+        stats = evaluator.evaluate(stage, output="out",
+                                   direction="fall", inputs=sources).stats
+        solve = min(solve, stats.wall_time)
     # Hook sites: one arc note, one note_region + one phase context per
     # region solved — then doubled for margin.
     ops = 2 * (2 * stats.steps + 2)
     overhead = ops * per_op
-    assert overhead < 0.01 * stats.wall_time + 1e-4, (
+    assert overhead < 0.01 * solve + 1e-4, (
         f"disabled accuracy-hook overhead {overhead * 1e6:.1f}us vs "
-        f"solve {stats.wall_time * 1e6:.1f}us")
+        f"solve {solve * 1e6:.1f}us")
