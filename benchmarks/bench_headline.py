@@ -44,14 +44,8 @@ from benchmarks.harness import (
 )
 from repro.analysis import AccuracyReport
 from repro.circuit import builders
-from repro.obs import ObsConfig, configure, disable, inc, set_gauge
-from repro.obs.profile import (
-    ProfileConfig,
-    configure_profile,
-    disable_profile,
-    phase_self_seconds,
-    profiler,
-)
+from repro.obs import inc, recording, set_gauge
+from repro.obs.profile import phase_self_seconds, profiler
 from repro.resilience.ladder import QUALITY_ORDER
 
 SMOKE = bool(os.environ.get("BENCH_SMOKE"))
@@ -88,14 +82,11 @@ def test_headline_aggregate(benchmark, tech, evaluator):
                 initial=initial, precharge=precharge, name=name))
         return rows
 
-    configure(ObsConfig(enabled=True))
     # Profile when asked (BENCH_PROFILE=1) or when an outer harness
     # (``repro profile benchmarks/bench_headline.py``) already enabled
-    # the profiler — never re-configure an externally-owned ledger.
-    own_profile = PROFILE and not profiler().enabled
-    if own_profile:
-        configure_profile(ProfileConfig(enabled=True))
-    try:
+    # the profiler, whose ledger ``recording`` keeps.
+    with recording(trace=True, metrics=True,
+                   profile=PROFILE or profiler().enabled) as bundle:
         rows = run_once(benchmark, run_all)
         report = AccuracyReport.from_errors(
             [r.error_percent for r in rows])
@@ -122,8 +113,8 @@ def test_headline_aggregate(benchmark, tech, evaluator):
             inc("resilience.budget.clamped_arcs", 0, level=level)
         inc("resilience.journal.write_errors", 0)
         inc("resilience.journal.replayed_waves", 0)
-        phases = (phase_self_seconds(profiler().to_json())
-                  if profiler().enabled else None)
+        phases = (phase_self_seconds(bundle.profiler.to_json())
+                  if bundle.profiler.enabled else None)
         # BENCH_ACCURACY=1: embed the per-circuit error section into
         # the metrics artifact and feed the accuracy history ledger
         # (the same errors the aggregate gauges summarize — the live
@@ -148,12 +139,8 @@ def test_headline_aggregate(benchmark, tech, evaluator):
             "circuits": len(rows),
             "qwm_total_seconds": float(sum(r.qwm_time for r in rows)),
         }, phases=phases)
-        if profiler().enabled:
+        if bundle.profiler.enabled:
             save_speedscope("BENCH_headline.speedscope.json")
-    finally:
-        disable()
-        if own_profile:
-            disable_profile()
 
     table = format_table(
         "Headline: aggregate speedup and accuracy",
@@ -203,14 +190,11 @@ def test_profile_overhead_under_budget(benchmark, tech, evaluator):
             best = min(best, time.perf_counter() - t0)
         return best
 
-    disable_profile()
-    off_seconds = run_once(benchmark, best_of, 7)
-    configure_profile(ProfileConfig(enabled=True))
-    try:
+    with recording(profile=False):
+        off_seconds = run_once(benchmark, best_of, 7)
+    with recording(profile=True) as bundle:
         on_seconds = best_of(7)
-        cells = profiler().stats()["cells"]
-    finally:
-        disable_profile()
+        cells = bundle.profiler.stats()["cells"]
 
     assert cells > 0, "profiler recorded nothing for the QWM workload"
     assert on_seconds < off_seconds * 1.05 + 1e-3, (

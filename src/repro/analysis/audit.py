@@ -37,15 +37,12 @@ from repro.analysis.accuracy import compare_delays
 from repro.analysis.parallel import canonical_form_for
 from repro.analysis.sta import StaResult, StaticTimingAnalyzer
 from repro.circuit.stage import StageGraph
-from repro.obs import observe
+from repro.obs import observe, recording
 from repro.obs.accuracy import (
-    AccuracyConfig,
     ArcKey,
     LEDGER_FORMAT,
     attribute_regions,
     capture_regions,
-    configure_accuracy,
-    observatory,
     slew_from_token,
 )
 from repro.obs.flight import flight
@@ -244,7 +241,7 @@ def _capture_audit_violation(sample: ArcSample,
                              record: Dict[str, Any]) -> None:
     """Emit a flight bundle for an out-of-band audit arc."""
     fl = flight()
-    if not fl.enabled or not fl.config.capture_bundles:
+    if not fl.enabled or fl.bundle_dir is None:
         return
     with fl.context(audit_arc=sample.label,
                     delay_error_pct=record["delay_error_pct"],
@@ -367,18 +364,9 @@ def analyze_with_audit(analyzer: StaticTimingAnalyzer,
     union, is why serial and process backends produce bit-identical
     audit records.  The report is attached to ``result.audit``.
     """
-    obs = observatory()
-    own = not obs.enabled
-    if own:
-        obs = configure_accuracy(AccuracyConfig(enabled=True))
-    try:
+    with recording(accuracy=True) as bundle:
         result = analyzer.analyze(graph, input_arrivals)
-        noted = obs.drain()["arcs"]
-    finally:
-        if own:
-            from repro.obs.accuracy import disable_accuracy
-
-            disable_accuracy()
+        noted = bundle.observatory.drain()["arcs"]
     candidates = collect_candidates(
         graph, analyzer, noted=[tuple(arc) for arc in noted])
     sampled = stratified_sample(candidates, count, seed)

@@ -390,7 +390,7 @@ def _capture_violation(diff: GoldenDiff, tech: Technology,
     from repro.obs.flight import flight
 
     fl = flight()
-    if not fl.enabled or not fl.config.capture_bundles:
+    if not fl.enabled or fl.bundle_dir is None:
         return
     case = diff.record.case
     with fl.context(golden_case=case.name,

@@ -611,14 +611,14 @@ _WORKER_ANALYZER: Optional[StaticTimingAnalyzer] = None
 
 
 def _process_worker_init(tech, library, options, propagate_slews,
-                         input_slew, obs_state, fault_plan=None) -> None:
+                         input_slew, obs_config, fault_plan=None) -> None:
     global _WORKER_ANALYZER
     _WORKER_ANALYZER = StaticTimingAnalyzer(
         tech, library=library, options=options,
         propagate_slews=propagate_slews, input_slew=input_slew)
     # Fresh recorders configured like the parent's; each stage task
     # ships its drained deltas home for an order-independent merge.
-    obs.install_worker(obs_state)
+    obs.install_worker(obs_config)
     # Fault plans follow the work into the pool so worker-scoped
     # faults (crash/hang) and solver faults fire where the chaos
     # harness aimed them; the worker marks itself so crash faults can
@@ -950,7 +950,7 @@ class ParallelStaEngine:
             initializer=_process_worker_init,
             initargs=(self.analyzer.tech, evaluator.library,
                       evaluator.options, self.analyzer.propagate_slews,
-                      self.analyzer.input_slew, obs.worker_state(),
+                      self.analyzer.input_slew, obs.telemetry().config,
                       faults.active_plan()))
 
     def _run_pooled(self, graph: StageGraph, order: List[LogicStage],

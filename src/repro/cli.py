@@ -129,7 +129,7 @@ import argparse
 import json
 import os
 import sys
-from typing import Dict, List, Optional
+from typing import Any, Dict, List, Optional
 
 from repro.analysis import StaticTimingAnalyzer
 from repro.analysis.report import (
@@ -143,14 +143,10 @@ from repro.devices import CMOSP35, TableModelLibrary
 from repro.devices.corners import all_corners
 from repro.io import ascii_plot, parse_spice_netlist
 from repro.io.spice_netlist import parse_value
-from repro.obs import ObsConfig, configure, disable, format_span_tree, telemetry
+from repro.obs import ObsConfig, format_span_tree, recording, telemetry
 from repro.resilience.ladder import QUALITY_ORDER, QUALITY_RANK
 from repro.obs.profile import (
-    ProfileConfig,
-    configure_profile,
-    disable_profile,
     export_speedscope,
-    profiler,
     render_profile,
     summarize_profile,
     to_collapsed,
@@ -680,25 +676,23 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     built-in circuit via ``--circuit``).
     """
     target = args.target
-    prof = configure_profile(ProfileConfig(enabled=True,
-                                           max_cells=args.max_cells))
-    if target is not None and target.endswith(".py"):
-        if not os.path.exists(target):
-            raise FileNotFoundError(target)
-        import pytest
+    with recording(profile=True, max_cells=args.max_cells) as bundle:
+        if target is not None and target.endswith(".py"):
+            if not os.path.exists(target):
+                raise FileNotFoundError(target)
+            import pytest
 
-        workload = target
-        code = pytest.main([target, "-q", "--no-header"])
-        if code not in (0, 5):  # 5 = no tests collected (plain script)
-            print(f"profile: workload exited with code {code}",
-                  file=sys.stderr)
-    else:
-        args.deck = target
-        workload = None
-        for _ in range(max(1, args.repeat)):
-            _, workload, _, _ = _evaluate_single_arc(args)
-
-    ledger = prof.to_json()
+            workload = target
+            code = pytest.main([target, "-q", "--no-header"])
+            if code not in (0, 5):  # 5 = no tests collected (plain script)
+                print(f"profile: workload exited with code {code}",
+                      file=sys.stderr)
+        else:
+            args.deck = target
+            workload = None
+            for _ in range(max(1, args.repeat)):
+                _, workload, _, _ = _evaluate_single_arc(args)
+        ledger = bundle.profiler.to_json()
     summary = summarize_profile(ledger)
     if args.collapsed:
         with open(args.collapsed, "w", encoding="utf-8") as handle:
@@ -744,17 +738,10 @@ def _cmd_golden(args: argparse.Namespace) -> int:
         return 1 if over else 0
     records = golden.load(directory)
     if args.flight_bundles:
-        from repro.obs import (FlightConfig, configure_flight,
-                               disable_flight)
-
-        recorder = configure_flight(FlightConfig(
-            enabled=True, capture_bundles=True,
-            bundle_dir=args.flight_bundles))
-        try:
+        with recording(flight=True,
+                       bundle_dir=args.flight_bundles) as bundle:
             diffs = golden.check(records, tech)
-        finally:
-            written = recorder.stats()["bundles"]
-            disable_flight()
+        written = bundle.flight.stats()["bundles"]
         if written:
             print(f"wrote {written} debug bundle(s) under "
                   f"{args.flight_bundles} (inspect with `repro replay`)",
@@ -793,8 +780,7 @@ def _cmd_replay(args: argparse.Namespace) -> int:
 
 def _cmd_report(args: argparse.Namespace) -> int:
     from repro.analysis.parallel import ExecutionConfig, StageResultCache
-    from repro.obs import (FlightConfig, configure_flight, disable_flight,
-                           render_report, summarize_ledger)
+    from repro.obs import render_report, summarize_ledger
 
     tech = CMOSP35
     if args.deck:
@@ -823,10 +809,8 @@ def _cmd_report(args: argparse.Namespace) -> int:
         print("note: pool workers keep their own flight ledgers; the "
               "report covers only the solves run in this process",
               file=sys.stderr)
-    recorder = configure_flight(FlightConfig(
-        enabled=True, event_limit=args.event_limit))
     audit_report = None
-    try:
+    with recording(flight=True, event_limit=args.event_limit) as bundle:
         analyzer = StaticTimingAnalyzer(tech, execution=execution,
                                         cache=cache)
         if args.audit:
@@ -836,9 +820,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
                 analyzer, graph, args.audit, seed=args.audit_seed)
         else:
             result = analyzer.analyze(graph)
-        summary = summarize_ledger(recorder)
-    finally:
-        disable_flight()
+        summary = summarize_ledger(bundle.flight)
 
     worst = result.worst
     if args.json:
@@ -1376,36 +1358,31 @@ def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
+    changes: Dict[str, Any] = {}
     # The stats command needs telemetry regardless of the export flags.
-    wants_telemetry = bool(args.trace or args.metrics
-                           or args.command == "stats")
-    # --profile enables the phase profiler for any command; the
-    # profile subcommand configures its own (and owns the reporting).
-    wants_profile = bool(args.profile)
-    if wants_telemetry:
-        configure(ObsConfig(enabled=True))
-    if wants_profile and args.command != "profile":
-        configure_profile(ProfileConfig(enabled=True))
-    try:
-        return args.func(args)
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    finally:
-        if wants_telemetry:
-            bundle = telemetry()
+    if args.trace or args.metrics or args.command == "stats":
+        changes.update(trace=True, metrics=True)
+    # --profile enables the phase profiler for any command, with the
+    # profile subcommand's cap so that command keeps this profiler.
+    if args.profile:
+        changes.update(profile=True, max_cells=getattr(
+            args, "max_cells", ObsConfig.max_cells))
+    with recording(**changes) as bundle:
+        try:
+            return args.func(args)
+        except FileNotFoundError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        finally:
             if args.trace:
                 bundle.export_trace(args.trace)
             if args.metrics:
                 bundle.export_metrics(args.metrics)
-            disable()
-        if wants_profile:
-            export_speedscope(profiler(), args.profile)
-        if wants_profile or args.command == "profile":
-            disable_profile()
+            if args.profile:
+                export_speedscope(bundle.profiler, args.profile)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -226,7 +226,7 @@ class WaveformEvaluator:
         forced = fl.consume_force_capture()
         if failure is None and forced is None:
             return
-        if not fl.config.capture_bundles or not fl.claim_bundle_slot():
+        if fl.bundle_dir is None or not fl.claim_bundle_slot():
             return
         from repro.obs.bundles import build_bundle, save_bundle
 
@@ -238,7 +238,7 @@ class WaveformEvaluator:
             failure=failure, ledger=fl.to_json(),
             extra=fl.current_context())
         written = save_bundle(
-            bundle, fl.config.bundle_dir,
+            bundle, fl.bundle_dir,
             label=f"{reason}-{path.stage.name}-{path.output}-"
                   f"{path.direction}")
         fl.record("bundle_written", solve_id=(failure or {}).get(

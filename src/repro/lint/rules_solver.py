@@ -281,13 +281,14 @@ class TelemetryBudgetRule(LintRule):
         if newton is None:
             return
         max_iter = getattr(newton, "max_iterations", 100)
-        if max_iter >= 2 and max_iter < 10 and not telemetry().enabled:
+        config = telemetry().config
+        if 2 <= max_iter < 10 and not (config.trace or config.metrics):
             yield self.diag(
                 f"newton.max_iterations is {max_iter} (< 10) while "
                 "telemetry is disabled: convergence failures will "
                 "leave no trace of which region or attempt failed",
                 _opts_loc("telemetry"),
-                hint="configure(ObsConfig(enabled=True)) — the "
+                hint="recording(trace=True, metrics=True) — the "
                      "newton.convergence.failures counter and "
                      "qwm.region spans pinpoint failing regions")
 
@@ -305,12 +306,10 @@ class FlightLedgerBudgetRule(LintRule):
                    "for the whole run.")
 
     def check(self, ctx: LintContext) -> Iterator[Diagnostic]:
-        from repro.obs.flight import flight
+        from repro.obs import telemetry
 
-        recorder = flight()
-        if not recorder.enabled:
-            return
-        if recorder.config.event_limit is not None:
+        config = telemetry().config
+        if not config.flight or config.event_limit is not None:
             return
         execution = ctx.execution
         workers = getattr(execution, "workers", 1) if execution else 1
@@ -324,7 +323,7 @@ class FlightLedgerBudgetRule(LintRule):
             "backend): every worker's per-region events accumulate in "
             "memory for the whole analysis",
             _opts_loc("flight.event_limit"),
-            hint="set FlightConfig(event_limit=...) — the default "
+            hint="set ObsConfig(event_limit=...) — the default "
                  "20000 keeps forensics for the most recent solves "
                  "while bounding memory")
 

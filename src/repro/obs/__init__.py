@@ -1,23 +1,25 @@
-"""Observability: one instrumentation boundary over the recorders.
+"""Observability: one config, one instrumentation boundary.
 
-The solvers are instrumented against process-wide recorders — the
-:class:`Telemetry` bundle (tracer + metrics registry + sink), the phase
-profiler, the accuracy observatory and the flight recorder — reached
+The solvers are instrumented against five process-wide recorders —
+tracer, metrics registry, phase profiler, accuracy observatory and
+flight recorder — held in one :class:`Telemetry` bundle and reached
 through module-level helpers so call sites stay one-liners::
 
-    from repro.obs import configure, phase, inc, observe
+    from repro.obs import phase, inc, observe, recording
 
-    configure(ObsConfig(enabled=True))
-    with phase("qwm.phase3", tag="crossing", span_name="qwm.region",
-               k=2) as frame:
-        frame.count("newton_iterations", 4)
-        inc("device.table.evaluations", 17)
-        observe("qwm.newton.iterations", 4)
+    with recording(trace=True, metrics=True) as bundle:
+        with phase("qwm.phase3", tag="crossing",
+                   span_name="qwm.region", k=2) as frame:
+            frame.count("newton_iterations", 4)
+            inc("device.table.evaluations", 17)
+            observe("qwm.newton.iterations", 4)
 
-By default everything is *disabled* and every helper degrades to a
-single attribute check (plus a shared no-op frame), so instrumented hot
-paths cost effectively nothing when un-observed.  ``configure`` swaps
-the telemetry bundle atomically; ``disable()`` restores the default.
+One :class:`ObsConfig` sets every recorder up.  By default all are
+*disabled* and every helper degrades to a single attribute check (plus
+a shared no-op frame), so instrumented hot paths cost effectively
+nothing when un-observed.  ``configure`` installs a fresh bundle,
+``disable()`` the default one, and ``recording(**changes)`` turns
+recorders on for a block and puts the exact previous bundle back.
 Pool workers record through the same helpers and ship :func:`drain`
 home once per task.
 
@@ -27,28 +29,25 @@ names map onto the paper's cost model.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import replace
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Iterator, Optional
 
-from repro.obs.accuracy import (AccuracyConfig, AccuracyObservatory,
+from repro.obs.accuracy import (AccuracyObservatory,
                                 accuracy_regressions,
                                 append_history_entry, attribute_regions,
-                                capture_regions, configure_accuracy,
-                                disable_accuracy, history_entry,
+                                capture_regions, history_entry,
                                 load_history_entries, note_region,
                                 observatory, worst_regression)
 from repro.obs.config import ObsConfig, SINK_KINDS
-from repro.obs.flight import (FlightConfig, FlightRecorder, LedgerEvent,
-                              configure_flight, disable_flight, flight,
+from repro.obs.flight import (FlightRecorder, LedgerEvent, flight,
                               render_report, summarize_ledger)
 from repro.obs.metrics import (CATALOG, Counter, Gauge, Histogram,
                                MetricsRegistry)
-from repro.obs.profile import (PhaseProfiler, ProfileConfig,
-                               configure_profile, disable_profile,
-                               export_speedscope, phase_self_seconds,
-                               profiler, render_profile,
-                               summarize_profile, to_collapsed,
-                               to_speedscope)
+from repro.obs.profile import (PhaseProfiler, export_speedscope,
+                               phase_self_seconds, profiler,
+                               render_profile, summarize_profile,
+                               to_collapsed, to_speedscope)
 from repro.obs.sinks import (JsonlSink, NullSink, Sink, StderrSink,
                              make_sink)
 from repro.obs.trace import _LOCAL as _FRAMES
@@ -57,42 +56,61 @@ from repro.obs.trace import (NOOP_SPAN, RECORDING, Frame, SpanRecord,
 
 __all__ = [
     "ObsConfig", "SINK_KINDS", "Telemetry", "telemetry", "configure",
-    "disable", "phase", "span", "count", "inc", "observe", "set_gauge",
-    "worker_state", "install_worker", "drain", "merge", "CATALOG",
+    "disable", "recording", "phase", "span", "count", "inc", "observe",
+    "set_gauge", "install_worker", "drain", "merge", "CATALOG",
     "Counter", "Gauge", "Histogram", "MetricsRegistry", "Sink",
     "NullSink", "StderrSink", "JsonlSink", "make_sink", "Tracer",
     "SpanRecord", "NOOP_SPAN", "format_span_tree",
-    "FlightConfig", "FlightRecorder", "LedgerEvent", "flight",
-    "configure_flight", "disable_flight", "summarize_ledger",
+    "FlightRecorder", "LedgerEvent", "flight", "summarize_ledger",
     "render_report",
-    "ProfileConfig", "PhaseProfiler", "profiler", "configure_profile",
-    "disable_profile", "to_collapsed",
+    "PhaseProfiler", "profiler", "to_collapsed",
     "to_speedscope", "export_speedscope", "summarize_profile",
     "render_profile", "phase_self_seconds",
-    "AccuracyConfig", "AccuracyObservatory", "observatory",
-    "configure_accuracy", "disable_accuracy", "capture_regions",
+    "AccuracyObservatory", "observatory", "capture_regions",
     "note_region", "attribute_regions", "history_entry",
     "append_history_entry", "load_history_entries",
     "accuracy_regressions", "worst_regression",
 ]
 
+#: The config fields each recorder is built from.
+_FIELDS = {
+    "tracer": ("trace", "sink", "sink_path", "trace_limit"),
+    "metrics": ("metrics", "max_series"),
+    "profiler": ("profile", "max_cells"),
+    "observatory": ("accuracy", "max_records"),
+    "flight": ("flight", "event_limit", "bundle_dir", "max_bundles"),
+}
+
 
 class Telemetry:
-    """One configured observability stack (tracer + metrics + sink)."""
+    """One configured set of the five recorders.
 
-    def __init__(self, config: Optional[ObsConfig] = None):
-        self.config = config or ObsConfig()
-        self.sink = make_sink(self.config)
-        self.tracer = Tracer(
-            enabled=self.config.enabled and self.config.trace,
-            limit=self.config.trace_limit, sink=self.sink)
-        self.metrics = MetricsRegistry(
-            enabled=self.config.enabled and self.config.metrics,
-            max_series=self.config.max_series)
+    With ``keep``, each recorder whose config fields equal ``keep``'s
+    is that bundle's own object; every other one is built fresh.
+    """
 
-    @property
-    def enabled(self) -> bool:
-        return self.config.enabled
+    def __init__(self, config: Optional[ObsConfig] = None,
+                 keep: Optional["Telemetry"] = None):
+        self.config = config = config or ObsConfig()
+
+        def build(name: str, make):
+            if keep is not None and all(
+                    getattr(config, key) == getattr(keep.config, key)
+                    for key in _FIELDS[name]):
+                return getattr(keep, name)
+            return make()
+
+        self.tracer = build("tracer", lambda: Tracer(
+            config.trace, config.trace_limit, make_sink(config)))
+        self.metrics = build("metrics", lambda: MetricsRegistry(
+            config.metrics, config.max_series))
+        self.profiler = build("profiler", lambda: PhaseProfiler(
+            config.profile, config.max_cells))
+        self.observatory = build("observatory", lambda: AccuracyObservatory(
+            config.accuracy, config.max_records))
+        self.flight = build("flight", lambda: FlightRecorder(
+            config.flight, config.event_limit, config.bundle_dir,
+            config.max_bundles))
 
     # ------------------------------------------------------------------
     def export_trace(self, path: str) -> str:
@@ -104,35 +122,55 @@ class Telemetry:
         return self.metrics.export_json(path)
 
     def close(self) -> None:
-        self.sink.close()
-
-
-#: The process-wide bundle; disabled until ``configure`` is called.
-_TELEMETRY = Telemetry(ObsConfig(enabled=False))
+        self.tracer.sink.close()
 
 
 def telemetry() -> Telemetry:
-    """The current process-wide telemetry bundle."""
-    return _TELEMETRY
+    """The installed bundle."""
+    return RECORDING.bundle
 
 
 def configure(config: ObsConfig) -> Telemetry:
-    """Install a new telemetry bundle and return it.
+    """Install a fresh bundle for ``config`` and return it.
 
     The previous bundle's sink is closed.  Instrumented code reads the
     bundle through the module-level helpers at each call, so the swap
     takes effect immediately everywhere.
     """
-    global _TELEMETRY
-    _TELEMETRY.close()
-    _TELEMETRY = Telemetry(config)
-    RECORDING.update(tracer=_TELEMETRY.tracer)
-    return _TELEMETRY
+    RECORDING.bundle.close()
+    bundle = Telemetry(config)
+    RECORDING.update(bundle)
+    return bundle
 
 
 def disable() -> Telemetry:
-    """Restore the default disabled bundle."""
-    return configure(ObsConfig(enabled=False))
+    """Install the default bundle, every recorder off."""
+    return configure(ObsConfig())
+
+
+@contextmanager
+def recording(**changes: Any) -> Iterator[Telemetry]:
+    """Record with ``changes`` applied to the installed config.
+
+    ``recording(profile=True, max_cells=64)`` turns the profiler on for
+    the block.  A recorder whose config fields ``changes`` leaves as
+    they are (one already on with the same bounds, or one not named)
+    stays the same object, so an enclosing block keeps its data; any
+    other is built fresh.  On exit, however the block ends and even
+    after an inner :func:`configure`, the saved bundle is put back.
+    """
+    saved = RECORDING.bundle
+    bundle = Telemetry(replace(saved.config, **changes), keep=saved)
+    RECORDING.update(bundle)
+    try:
+        yield bundle
+    finally:
+        if RECORDING.bundle.tracer is not saved.tracer:
+            RECORDING.bundle.close()
+        RECORDING.update(saved)
+
+
+RECORDING.update(Telemetry())
 
 
 # ----------------------------------------------------------------------
@@ -160,7 +198,7 @@ def phase(name: str, tag: Optional[str] = None,
 
 def span(name: str, **attrs):
     """Open a trace-only frame on the current tracer (no-op when off)."""
-    return _TELEMETRY.tracer.span(name, attrs)
+    return RECORDING.bundle.tracer.span(name, attrs)
 
 
 def count(op: str, amount: float = 1.0,
@@ -182,21 +220,21 @@ def count(op: str, amount: float = 1.0,
 
 def inc(name: str, amount: float = 1.0, **labels) -> None:
     """Increment a counter (no-op when disabled)."""
-    registry = _TELEMETRY.metrics
+    registry = RECORDING.bundle.metrics
     if registry.enabled:
         registry.counter(name).inc(amount, **labels)
 
 
 def observe(name: str, value: float, **labels) -> None:
     """Record a histogram observation (no-op when disabled)."""
-    registry = _TELEMETRY.metrics
+    registry = RECORDING.bundle.metrics
     if registry.enabled:
         registry.histogram(name).observe(value, **labels)
 
 
 def set_gauge(name: str, value: float, **labels) -> None:
     """Set a gauge (no-op when disabled)."""
-    registry = _TELEMETRY.metrics
+    registry = RECORDING.bundle.metrics
     if registry.enabled:
         registry.gauge(name).set(value, **labels)
 
@@ -204,32 +242,23 @@ def set_gauge(name: str, value: float, **labels) -> None:
 # ----------------------------------------------------------------------
 # Process-pool workers: one state in, one payload out per task.
 # ----------------------------------------------------------------------
-def worker_state() -> Dict[str, Any]:
-    """The recorder configs a pool worker installs (picklable)."""
-    return {"telemetry": _TELEMETRY.config, "profile": profiler().config,
-            "accuracy": observatory().config, "flight": flight().config}
-
-
-def install_worker(state: Dict[str, Any]) -> None:
-    """Install fresh recorders in a forked pool worker.
+def install_worker(config: ObsConfig) -> None:
+    """Install fresh recorders for the parent's ``config`` in a forked
+    pool worker.
 
     Fresh, because the worker inherited the parent's counts, which must
     not be shipped back twice.  The inherited sink belongs to the
     parent: workers trace nothing and stream to no sink.  The flight
     recorder is installed for its bundles; its ledger is not drained.
     """
-    global _TELEMETRY
-    _TELEMETRY = Telemetry(replace(state["telemetry"], trace=False,
-                                   sink="null", sink_path=None))
-    RECORDING.update(tracer=_TELEMETRY.tracer)
-    configure_profile(state["profile"])
-    configure_accuracy(state["accuracy"])
-    configure_flight(state["flight"])
+    RECORDING.update(Telemetry(replace(config, trace=False, sink="null",
+                                       sink_path=None)))
 
 
 def _drainable() -> Dict[str, Any]:
-    return {"metrics": _TELEMETRY.metrics, "profile": profiler(),
-            "accuracy": observatory()}
+    bundle = RECORDING.bundle
+    return {"metrics": bundle.metrics, "profile": bundle.profiler,
+            "accuracy": bundle.observatory}
 
 
 def drain() -> Dict[str, Any]:

@@ -38,7 +38,6 @@ from __future__ import annotations
 import json
 import os
 import threading
-from dataclasses import dataclass
 from contextlib import contextmanager
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -46,8 +45,7 @@ from repro.obs.trace import _LOCAL as _FRAMES
 from repro.obs.trace import RECORDING
 
 __all__ = [
-    "AccuracyConfig", "AccuracyObservatory", "observatory",
-    "configure_accuracy", "disable_accuracy", "note_arc_candidate",
+    "AccuracyObservatory", "observatory", "note_arc_candidate",
     "RegionCapture", "capture_regions", "note_region",
     "attribute_regions",
     "history_entry", "append_history_entry", "load_history_entries",
@@ -81,27 +79,6 @@ def slew_from_token(token: str) -> Optional[float]:
     return None if token == "step" else float(token)
 
 
-@dataclass
-class AccuracyConfig:
-    """Controls for the accuracy observatory.
-
-    Attributes:
-        enabled: master switch.  When False (the default) the arc
-            noting hook is a single attribute check and no state
-            accumulates.
-        max_records: cap on retained audit records; records beyond the
-            cap are dropped and counted (the candidate set itself is
-            bounded by the design's arc count).
-    """
-
-    enabled: bool = False
-    max_records: int = 4096
-
-    def __post_init__(self) -> None:
-        if self.max_records < 1:
-            raise ValueError("max_records must be >= 1")
-
-
 class AccuracyObservatory:
     """Thread-safe arc-candidate set + audit-record ledger.
 
@@ -110,12 +87,15 @@ class AccuracyObservatory:
     per-worker deltas shipped through task payloads recombine into
     exactly the serial run's ledger (set union and keyed insertion
     commute).
+
+    ``enabled`` is the fast-path switch (mirroring ``Tracer.enabled``);
+    ``max_records`` is :attr:`repro.obs.ObsConfig.max_records` (the
+    candidate set itself is bounded by the design's arc count).
     """
 
-    def __init__(self, config: Optional[AccuracyConfig] = None):
-        self.config = config or AccuracyConfig()
-        #: Fast-path switch (plain attribute, mirrors ``Tracer.enabled``).
-        self.enabled = self.config.enabled
+    def __init__(self, enabled: bool = True, max_records: int = 4096):
+        self.enabled = enabled
+        self.max_records = max_records
         self._lock = threading.RLock()
         self._arcs: Dict[ArcKey, None] = {}
         self._records: Dict[ArcKey, Dict[str, Any]] = {}
@@ -141,7 +121,7 @@ class AccuracyObservatory:
         key = tuple(record["arc"])
         with self._lock:
             if key not in self._records \
-                    and len(self._records) >= self.config.max_records:
+                    and len(self._records) >= self.max_records:
                 self._dropped += 1
                 return
             self._records[key] = record
@@ -191,32 +171,16 @@ class AccuracyObservatory:
                     "dropped": self._dropped}
 
 
-#: The process-wide observatory; disabled until ``configure_accuracy``.
-_OBSERVATORY = AccuracyObservatory(AccuracyConfig(enabled=False))
-
-
 def observatory() -> AccuracyObservatory:
-    """The current process-wide accuracy observatory."""
-    return _OBSERVATORY
-
-
-def configure_accuracy(config: AccuracyConfig) -> AccuracyObservatory:
-    """Install a fresh observatory for ``config`` and return it."""
-    global _OBSERVATORY
-    _OBSERVATORY = AccuracyObservatory(config)
-    return _OBSERVATORY
-
-
-def disable_accuracy() -> AccuracyObservatory:
-    """Restore the default disabled observatory."""
-    return configure_accuracy(AccuracyConfig(enabled=False))
+    """The installed accuracy observatory."""
+    return RECORDING.bundle.observatory
 
 
 def note_arc_candidate(stage: str, output: str, direction: str,
                        switching_input: str,
                        input_slew: Optional[float]) -> None:
     """Note an attempted arc on the current observatory (no-op when off)."""
-    obs = _OBSERVATORY
+    obs = RECORDING.bundle.observatory
     if obs.enabled:
         obs.note_arc(stage, output, direction, switching_input,
                      input_slew)

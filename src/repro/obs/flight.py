@@ -27,8 +27,9 @@ Cache attribution: the parallel engine calls
 :meth:`FlightRecorder.note_cache_hit` when serving it from cache, so a
 hit carries provenance back to the solve ids that produced the value.
 
-Like the telemetry bundle, the recorder is process-wide, disabled by
-default, and every hot-path check degrades to a single attribute read
+Like the other recorders it is process-wide (one of the recorders
+:func:`repro.obs.configure` installs), disabled by default, and every
+hot-path check degrades to a single attribute read
 (``flight().enabled``) when off.  See DESIGN.md ("Forensics & replay")
 for the event schema and the bundle format.
 """
@@ -40,43 +41,12 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, List, Optional
 
+from repro.obs.trace import RECORDING
+
 __all__ = [
-    "FlightConfig", "LedgerEvent", "FlightRecorder", "flight",
-    "configure_flight", "disable_flight", "summarize_ledger",
+    "LedgerEvent", "FlightRecorder", "flight", "summarize_ledger",
     "render_report",
 ]
-
-
-@dataclass
-class FlightConfig:
-    """Controls for the flight recorder.
-
-    Attributes:
-        enabled: master switch.  When False (the default) every
-            instrumentation point is a single attribute check.
-        event_limit: maximum retained ledger events; further events are
-            dropped and counted.  ``None`` means unbounded — legal, but
-            the SOL005 lint rule warns about it in parallel runs.
-        capture_bundles: serialize a debug bundle on solve failure or
-            when a caller forces capture (golden band violations).
-        bundle_dir: directory debug bundles are written into.
-        max_bundles: cap on bundles written per recorder lifetime (a
-            failing sweep should not fill the disk).
-        verbose: echo ledger events to stderr as they are recorded.
-    """
-
-    enabled: bool = False
-    event_limit: Optional[int] = 20_000
-    capture_bundles: bool = False
-    bundle_dir: str = "flight-bundles"
-    max_bundles: int = 16
-    verbose: bool = False
-
-    def __post_init__(self) -> None:
-        if self.event_limit is not None and self.event_limit < 1:
-            raise ValueError("event_limit must be >= 1 or None (unbounded)")
-        if self.max_bundles < 0:
-            raise ValueError("max_bundles must be non-negative")
 
 
 @dataclass
@@ -102,10 +72,19 @@ class LedgerEvent:
 
 
 class FlightRecorder:
-    """Thread-safe bounded event ledger with solve/arc provenance."""
+    """Thread-safe bounded event ledger with solve/arc provenance.
 
-    def __init__(self, config: Optional[FlightConfig] = None):
-        self.config = config or FlightConfig()
+    ``enabled`` is the fast-path switch; the bounds are those of
+    :class:`repro.obs.ObsConfig`.
+    """
+
+    def __init__(self, enabled: bool = True,
+                 event_limit: Optional[int] = 20_000,
+                 bundle_dir: Optional[str] = None, max_bundles: int = 16):
+        self.enabled = enabled
+        self.event_limit = event_limit
+        self.bundle_dir = bundle_dir
+        self.max_bundles = max_bundles
         self._lock = threading.Lock()
         self._events: List[LedgerEvent] = []
         self._dropped = 0
@@ -115,10 +94,6 @@ class FlightRecorder:
         self._local = threading.local()
         # arc cache key -> {"solve_ids": [...], "hits": int}
         self._provenance: Dict[str, Dict[str, Any]] = {}
-
-    @property
-    def enabled(self) -> bool:
-        return self.config.enabled
 
     # ------------------------------------------------------------------
     # Arc context (thread-local): pushed by the STA layer so solve
@@ -197,9 +172,8 @@ class FlightRecorder:
     # ------------------------------------------------------------------
     def record(self, kind: str, solve_id: int = 0, **data: Any) -> None:
         """Append one event to the ledger (drop + count when full)."""
-        cfg = self.config
         with self._lock:
-            limit = cfg.event_limit
+            limit = self.event_limit
             if limit is not None and len(self._events) >= limit:
                 self._dropped += 1
                 return
@@ -207,11 +181,6 @@ class FlightRecorder:
             event = LedgerEvent(seq=self._seq, solve_id=solve_id,
                                 kind=kind, data=data)
             self._events.append(event)
-        if cfg.verbose:
-            import sys
-
-            print(f"[flight] #{event.seq} solve={solve_id} {kind} "
-                  f"{_brief(data)}", file=sys.stderr)
 
     # ------------------------------------------------------------------
     # Cache attribution (parallel engine)
@@ -247,7 +216,7 @@ class FlightRecorder:
     def claim_bundle_slot(self) -> bool:
         """Reserve one bundle write; False once the budget is spent."""
         with self._lock:
-            if self._bundles_written >= self.config.max_bundles:
+            if self._bundles_written >= self.max_bundles:
                 return False
             self._bundles_written += 1
             return True
@@ -284,37 +253,9 @@ class FlightRecorder:
             }
 
 
-def _brief(data: Dict[str, Any]) -> str:
-    parts = []
-    for key, value in data.items():
-        if isinstance(value, (list, dict)):
-            parts.append(f"{key}=<{len(value)}>")
-        elif isinstance(value, float):
-            parts.append(f"{key}={value:.4g}")
-        else:
-            parts.append(f"{key}={value}")
-    return " ".join(parts)
-
-
-#: The process-wide recorder; disabled until ``configure_flight``.
-_FLIGHT = FlightRecorder(FlightConfig(enabled=False))
-
-
 def flight() -> FlightRecorder:
-    """The current process-wide flight recorder."""
-    return _FLIGHT
-
-
-def configure_flight(config: FlightConfig) -> FlightRecorder:
-    """Install a fresh recorder for ``config`` and return it."""
-    global _FLIGHT
-    _FLIGHT = FlightRecorder(config)
-    return _FLIGHT
-
-
-def disable_flight() -> FlightRecorder:
-    """Restore the default disabled recorder."""
-    return configure_flight(FlightConfig(enabled=False))
+    """The installed flight recorder."""
+    return RECORDING.bundle.flight
 
 
 # ----------------------------------------------------------------------
@@ -389,7 +330,7 @@ def summarize_ledger(ledger: Any) -> Dict[str, Any]:
                    f"({data.get('reason', 'unknown')})")
             escalations[key] = escalations.get(key, 0) + 1
         elif kind == "fault_injected":
-            name = data.get("kind", "unknown")
+            name = data.get("fault", "unknown")
             faults_injected[name] = faults_injected.get(name, 0) + 1
 
     # Worst regions: failures first, then by attempts, then iterations.

@@ -30,7 +30,8 @@ frame and flushed once at its exit — never per inner-loop iteration —
 which is the discipline lint rule ``SOL006-hot-loop-instrumentation``
 enforces.
 
-Like the flight recorder the profiler is process-wide and disabled by
+Like the flight recorder the profiler is process-wide (one of the
+recorders :func:`repro.obs.configure` installs) and disabled by
 default.  The cell ledger is deterministic and mergeable: process
 workers ship their drained ledgers home (:func:`repro.obs.drain`) and
 the parent adds them cell-wise (addition over sorted keys commutes),
@@ -49,39 +50,18 @@ from __future__ import annotations
 
 import json
 import threading
-from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.obs.trace import _LOCAL, RECORDING, Frame, _nearest
 
 __all__ = [
-    "ProfileConfig", "PhaseProfiler", "profiler", "configure_profile",
-    "disable_profile", "to_collapsed", "to_speedscope", "export_speedscope",
+    "PhaseProfiler", "profiler", "to_collapsed", "to_speedscope",
+    "export_speedscope",
     "summarize_profile", "render_profile", "phase_self_seconds",
 ]
 
 #: Ledger format tag (bumped on incompatible cell-shape changes).
 LEDGER_FORMAT = "repro-phase-profile/1"
-
-
-@dataclass
-class ProfileConfig:
-    """Controls for the phase profiler.
-
-    Attributes:
-        enabled: master switch.  When False (the default) every
-            instrumentation frame is a single attribute check.
-        max_cells: cap on distinct (path) cells retained; cells beyond
-            the cap are dropped and counted, so a pathological label
-            cardinality cannot grow the ledger without bound.
-    """
-
-    enabled: bool = False
-    max_cells: int = 4096
-
-    def __post_init__(self) -> None:
-        if self.max_cells < 1:
-            raise ValueError("max_cells must be >= 1")
 
 
 class _Cell:
@@ -102,12 +82,14 @@ class PhaseProfiler:
     threads attribute correctly without sharing state on the hot path;
     the ledger itself takes one lock per frame *exit*, never per
     operation counted.
+
+    ``enabled`` is the fast-path switch (mirroring ``Tracer.enabled``);
+    ``max_cells`` is :attr:`repro.obs.ObsConfig.max_cells`.
     """
 
-    def __init__(self, config: Optional[ProfileConfig] = None):
-        self.config = config or ProfileConfig()
-        #: Fast-path switch (plain attribute, mirrors ``Tracer.enabled``).
-        self.enabled = self.config.enabled
+    def __init__(self, enabled: bool = True, max_cells: int = 4096):
+        self.enabled = enabled
+        self.max_cells = max_cells
         self._lock = threading.RLock()
         self._cells: Dict[Tuple[str, ...], _Cell] = {}
         self._dropped = 0
@@ -139,7 +121,7 @@ class PhaseProfiler:
         with self._lock:
             cell = self._cells.get(path)
             if cell is None:
-                if len(self._cells) >= self.config.max_cells:
+                if len(self._cells) >= self.max_cells:
                     self._dropped += 1
                     return
                 cell = self._cells[path] = _Cell()
@@ -191,26 +173,9 @@ class PhaseProfiler:
             return {"cells": len(self._cells), "dropped": self._dropped}
 
 
-#: The process-wide profiler; disabled until ``configure_profile``.
-_PROFILER = PhaseProfiler(ProfileConfig(enabled=False))
-
-
 def profiler() -> PhaseProfiler:
-    """The current process-wide phase profiler."""
-    return _PROFILER
-
-
-def configure_profile(config: ProfileConfig) -> PhaseProfiler:
-    """Install a fresh profiler for ``config`` and return it."""
-    global _PROFILER
-    _PROFILER = PhaseProfiler(config)
-    RECORDING.update(profiler=_PROFILER)
-    return _PROFILER
-
-
-def disable_profile() -> PhaseProfiler:
-    """Restore the default disabled profiler."""
-    return configure_profile(ProfileConfig(enabled=False))
+    """The installed phase profiler."""
+    return RECORDING.bundle.profiler
 
 
 # ----------------------------------------------------------------------

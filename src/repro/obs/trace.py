@@ -71,32 +71,31 @@ _NoopSpan.__enter__ = itertools.repeat(NOOP_SPAN).__next__  # type: ignore
 _NoopSpan.__exit__ = _NoopSpan.set = _NoopSpan.count = "".format  # type: ignore
 
 
-_KEEP: Any = object()
-
-
 class _Recording:
-    """The process-wide frame consumers that are on.
+    """The installed recorders.
 
-    ``tracer`` and ``profiler`` are the global ones while enabled, else
-    None.  ``any`` is the one flag the disabled hooks test: either is
-    on, or an accuracy capture is armed on some thread.  Their
-    installers keep it current through :meth:`update`.
+    ``bundle`` is the installed :class:`repro.obs.Telemetry`;
+    ``tracer`` and ``profiler`` are its ones while enabled, else None.
+    ``any`` is the one flag the disabled hooks test: either is on, or
+    an accuracy capture is armed on some thread.  Installers keep it
+    current through :meth:`update`.
     """
 
+    bundle: Any = None
     tracer: Optional["Tracer"] = None
     profiler: Any = None
     captures = 0
     any = False
     _lock = threading.Lock()
 
-    def update(self, tracer: Any = _KEEP, profiler: Any = _KEEP,
-               captures: int = 0) -> None:
-        """Install a new global tracer or profiler, or arm (+1) or
-        disarm (-1) one capture."""
+    def update(self, bundle: Any = None, captures: int = 0) -> None:
+        """Install a new bundle, or arm (+1) or disarm (-1) one
+        capture."""
         with self._lock:
-            if tracer is not _KEEP:
+            if bundle is not None:
+                self.bundle = bundle
+                tracer, profiler = bundle.tracer, bundle.profiler
                 self.tracer = tracer if tracer.enabled else None
-            if profiler is not _KEEP:
                 self.profiler = profiler if profiler.enabled else None
             self.captures += captures
             self.any = (self.tracer is not None

@@ -35,7 +35,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Set, Tuple
 
-from repro.obs import ObsConfig, configure, disable, telemetry
+from repro.obs import recording, telemetry
 from repro.resilience import faults
 from repro.resilience.faults import FaultPlan, FaultSpec
 from repro.resilience.ladder import (
@@ -565,10 +565,7 @@ def run_matrix(seed: int = 0, bits: int = 2,
                 f"unknown scenario(s) {unknown}; known: {sorted(known)}")
         matrix = [s for s in matrix if s.name in only]
 
-    owns_telemetry = not telemetry().config.enabled
-    if owns_telemetry:
-        configure(ObsConfig(enabled=True))
-    try:
+    with recording(trace=True, metrics=True):
         baseline = StaticTimingAnalyzer(tech, library=library).analyze(
             graph)
         affected = _fanout_nets(graph, target)
@@ -577,9 +574,6 @@ def run_matrix(seed: int = 0, bits: int = 2,
             report.outcomes.append(_run_scenario(
                 scenario, seed, tech, library, graph, baseline,
                 affected))
-    finally:
-        if owns_telemetry:
-            disable()
     return report
 
 

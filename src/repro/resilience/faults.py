@@ -373,7 +373,7 @@ def _note_injection(spec: FaultSpec, **extra: Any) -> None:
     inc("resilience.faults.injected", kind=spec.kind)
     fl = flight()
     if fl.enabled:
-        fl.record("fault_injected", kind=spec.kind,
+        fl.record("fault_injected", fault=spec.kind,
                   stage=spec.stage, **extra)
 
 

@@ -13,17 +13,30 @@ def _flight_bundles_from_env():
     """CI forensics hook: ``REPRO_FLIGHT_BUNDLES=DIR`` enables the
     flight recorder with bundle capture for the whole test session, so
     a failing solve leaves a replayable debug bundle under DIR that the
-    workflow uploads as an artifact."""
+    workflow uploads as an artifact.  Yields the armed recorder (None
+    without the variable)."""
     directory = os.environ.get("REPRO_FLIGHT_BUNDLES")
     if not directory:
-        yield
+        yield None
         return
-    from repro.obs import FlightConfig, configure_flight, disable_flight
+    from repro.obs import recording
 
-    configure_flight(FlightConfig(enabled=True, capture_bundles=True,
-                                  bundle_dir=directory))
+    with recording(flight=True, bundle_dir=directory) as bundle:
+        yield bundle.flight
+
+
+@pytest.fixture(autouse=True)
+def _flight_recorder_kept(_flight_bundles_from_env):
+    """Fail a test that leaves another flight recorder installed than
+    the session's armed one: the rest of the session would run
+    without forensics."""
     yield
-    disable_flight()
+    if _flight_bundles_from_env is not None:
+        from repro.obs import flight
+
+        assert flight() is _flight_bundles_from_env, (
+            "test left a different flight recorder installed; scope "
+            "recorder changes with repro.obs.recording()")
 
 
 @pytest.fixture(scope="session")

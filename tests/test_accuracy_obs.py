@@ -32,15 +32,12 @@ from repro.analysis.sta import StaticTimingAnalyzer
 from repro.circuit import builders
 from repro.circuit.stage import extract_stages
 from repro.cli import main
-from repro.obs import phase
+from repro.obs import ObsConfig, configure, disable, phase, recording
 from repro.obs.accuracy import (
-    AccuracyConfig,
     AccuracyObservatory,
     accuracy_regressions,
     attribute_regions,
     capture_regions,
-    configure_accuracy,
-    disable_accuracy,
     history_entry,
     note_arc_candidate,
     note_region,
@@ -51,10 +48,11 @@ from repro.obs.accuracy import (
 
 @pytest.fixture(autouse=True)
 def _observatory_off():
-    """Tests own the process-wide observatory; reset around each."""
-    disable_accuracy()
-    yield
-    disable_accuracy()
+    """Every test starts with every recorder off; the saved bundle (a
+    session-wide armed flight recorder, if any) comes back afterwards."""
+    with recording():
+        disable()
+        yield
 
 
 @pytest.fixture(scope="module")
@@ -106,13 +104,13 @@ class TestObservatoryLedger:
         assert observatory().stats()["arcs"] == 0
 
     def test_note_is_idempotent(self):
-        configure_accuracy(AccuracyConfig(enabled=True))
+        configure(ObsConfig(accuracy=True))
         for _ in range(3):
             note_arc_candidate("s", "out", "fall", "a", 20e-12)
         assert observatory().stats()["arcs"] == 1
 
     def _payload(self, variant: int):
-        obs = AccuracyObservatory(AccuracyConfig(enabled=True))
+        obs = AccuracyObservatory()
         obs.note_arc(f"s{variant}", "out", "fall", "a", None)
         obs.note_arc("shared", "out", "rise", "b", 10e-12)
         obs.record_audit({"arc": [f"s{variant}", "out", "fall", "a",
@@ -122,25 +120,24 @@ class TestObservatoryLedger:
 
     def test_merge_is_commutative(self):
         a, b = self._payload(1), self._payload(2)
-        ab = AccuracyObservatory(AccuracyConfig(enabled=True))
+        ab = AccuracyObservatory()
         ab.merge(a)
         ab.merge(b)
-        ba = AccuracyObservatory(AccuracyConfig(enabled=True))
+        ba = AccuracyObservatory()
         ba.merge(b)
         ba.merge(a)
         assert ab.to_json() == ba.to_json()
         assert ab.stats()["arcs"] == 3
 
     def test_drain_resets(self):
-        obs = AccuracyObservatory(AccuracyConfig(enabled=True))
+        obs = AccuracyObservatory()
         obs.note_arc("s", "out", "fall", "a", None)
         payload = obs.drain()
         assert payload["arcs"] == [["s", "out", "fall", "a", "step"]]
         assert obs.stats() == {"arcs": 0, "records": 0, "dropped": 0}
 
     def test_record_cap_counts_drops(self):
-        obs = AccuracyObservatory(AccuracyConfig(enabled=True,
-                                                 max_records=1))
+        obs = AccuracyObservatory(max_records=1)
         obs.record_audit({"arc": ["a", "o", "fall", "x", "step"]})
         obs.record_audit({"arc": ["b", "o", "fall", "x", "step"]})
         assert obs.stats() == {"arcs": 0, "records": 1, "dropped": 1}

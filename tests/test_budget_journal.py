@@ -448,16 +448,15 @@ class TestWorkerDeathRecovery:
     @pytest.mark.slow
     def test_crash_redispatches_only_the_dead_stage(self, tech,
                                                     library):
-        from repro.obs import ObsConfig, configure, disable, telemetry
+        from repro.obs import recording
         from repro.resilience.chaos import _leaf_stage
 
         graph = self._chain_graph(tech)
         target = _leaf_stage(graph)
         plan = FaultPlan((FaultSpec("worker_crash", stage=target,
                                     count=1),), seed=0)
-        configure(ObsConfig(enabled=True))
-        try:
-            metrics = telemetry().metrics
+        with recording(trace=True, metrics=True) as bundle:
+            metrics = bundle.metrics
             redispatch0 = metrics.counter(
                 "sta.parallel.redispatch").total()
             with faults.installed(plan):
@@ -468,8 +467,6 @@ class TestWorkerDeathRecovery:
                 ).analyze(graph)
             redispatched = metrics.counter(
                 "sta.parallel.redispatch").total() - redispatch0
-        finally:
-            disable()
         # Exactly the casualty re-runs in the parent; nothing else is
         # ever torn down and re-solved for one dead worker.
         assert redispatched == 1

@@ -245,4 +245,5 @@ class TestCliStats:
         assert "qwm.solve" in names
         # The CLI tears telemetry back down after exporting.
         from repro.obs import telemetry
-        assert not telemetry().enabled
+        assert not telemetry().tracer.enabled
+        assert not telemetry().metrics.enabled

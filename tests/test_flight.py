@@ -11,11 +11,12 @@ from repro.core import WaveformEvaluator
 from repro.core.qwm import QWMOptions
 from repro.linalg.newton import FAILURE_REASONS, NewtonOptions
 from repro.obs import (
-    FlightConfig,
     FlightRecorder,
-    configure_flight,
-    disable_flight,
+    ObsConfig,
+    configure,
+    disable,
     flight,
+    recording,
     render_report,
     summarize_ledger,
 )
@@ -25,10 +26,11 @@ from repro.spice import ConstantSource, PWLSource, RampSource, StepSource
 
 @pytest.fixture(autouse=True)
 def clean_flight():
-    """Every test starts and ends with the disabled default recorder."""
-    disable_flight()
-    yield
-    disable_flight()
+    """Every test starts with every recorder off; the saved bundle (a
+    session-wide armed recorder, if any) comes back afterwards."""
+    with recording():
+        disable()
+        yield
 
 
 def nand_inputs(tech, n):
@@ -48,14 +50,14 @@ class TestRecorder:
 
     def test_config_validation(self):
         with pytest.raises(ValueError, match="event_limit"):
-            FlightConfig(event_limit=0)
+            ObsConfig(event_limit=0)
         with pytest.raises(ValueError, match="max_bundles"):
-            FlightConfig(max_bundles=-1)
+            ObsConfig(max_bundles=-1)
         # None means unbounded, explicitly legal.
-        FlightConfig(event_limit=None)
+        ObsConfig(event_limit=None)
 
     def test_event_limit_drops_and_counts(self):
-        rec = FlightRecorder(FlightConfig(enabled=True, event_limit=3))
+        rec = FlightRecorder(event_limit=3)
         for i in range(5):
             rec.record("x", value=i)
         stats = rec.stats()
@@ -64,7 +66,7 @@ class TestRecorder:
         assert rec.to_json()["dropped"] == 2
 
     def test_context_frames_merge_and_unwind(self):
-        rec = FlightRecorder(FlightConfig(enabled=True))
+        rec = FlightRecorder()
         with rec.context(stage="s1", output="out"):
             with rec.context(arc_input="a0"):
                 sid = rec.begin_solve(direction="fall")
@@ -78,13 +80,13 @@ class TestRecorder:
         assert begin.data["direction"] == "fall"
 
     def test_force_capture_consumed_once(self):
-        rec = FlightRecorder(FlightConfig(enabled=True))
+        rec = FlightRecorder()
         rec.force_capture("golden_band_violation")
         assert rec.consume_force_capture() == "golden_band_violation"
         assert rec.consume_force_capture() is None
 
     def test_solve_failure_stash_consumed_once(self):
-        rec = FlightRecorder(FlightConfig(enabled=True))
+        rec = FlightRecorder()
         rec.note_solve_failure(7, {"active": 1, "tau": 0.0})
         failure = rec.take_solve_failure()
         assert failure["solve_id"] == 7
@@ -92,7 +94,7 @@ class TestRecorder:
         assert rec.take_solve_failure() is None
 
     def test_arc_provenance_half_open_range(self):
-        rec = FlightRecorder(FlightConfig(enabled=True))
+        rec = FlightRecorder()
         first = rec.next_solve_id()
         rec.begin_solve()
         rec.begin_solve()
@@ -106,7 +108,7 @@ class TestRecorder:
         assert hit.data["origin_solve_ids"] == [1, 2]
 
     def test_bundle_slot_budget(self):
-        rec = FlightRecorder(FlightConfig(enabled=True, max_bundles=2))
+        rec = FlightRecorder(max_bundles=2)
         assert rec.claim_bundle_slot()
         assert rec.claim_bundle_slot()
         assert not rec.claim_bundle_slot()
@@ -118,7 +120,7 @@ class TestRecorder:
 # ----------------------------------------------------------------------
 class TestLedgerAndReport:
     def test_solve_records_full_lifecycle(self, tech, library):
-        rec = configure_flight(FlightConfig(enabled=True))
+        rec = configure(ObsConfig(flight=True)).flight
         stage = builders.nand_gate(tech, 2)
         evaluator = WaveformEvaluator(tech, library=library)
         evaluator.evaluate(stage, "out", "fall", nand_inputs(tech, 2))
@@ -143,7 +145,7 @@ class TestLedgerAndReport:
                               "step_norm", "shrink"}
 
     def test_summary_and_report_render(self, tech, library):
-        rec = configure_flight(FlightConfig(enabled=True))
+        rec = configure(ObsConfig(flight=True)).flight
         stage = builders.nand_gate(tech, 2)
         evaluator = WaveformEvaluator(tech, library=library)
         evaluator.evaluate(stage, "out", "fall", nand_inputs(tech, 2))
@@ -157,6 +159,29 @@ class TestLedgerAndReport:
         for section in ("fallback histogram", "newton iterations",
                         "worst regions", "cache attribution"):
             assert section in text
+
+    def test_injected_faults_counted_by_kind(self):
+        """A fault fired under an armed recorder lands in the ledger
+        and the report counts it under its fault kind."""
+        from repro.resilience import faults
+        from repro.resilience.faults import FaultPlan, FaultSpec
+
+        plan = FaultPlan((FaultSpec("newton_nonconverge", count=2),
+                          FaultSpec("deadline_exhaust", count=1)))
+        with recording(flight=True) as bundle, faults.installed(plan):
+            with faults.scope(stage="nand2", rung="qwm"):
+                assert faults.newton_should_fail()
+                assert faults.newton_should_fail()
+            assert faults.deadline_exhaust_gate()
+        summary = summarize_ledger(bundle.flight)
+        assert summary["faults_injected"] == {"deadline_exhaust": 1,
+                                              "newton_nonconverge": 2}
+        (event, *_) = [e for e in bundle.flight.events()
+                       if e.kind == "fault_injected"]
+        assert event.data == {"fault": "newton_nonconverge",
+                              "stage": None, "rung": "qwm"}
+        assert "fault injected: newton_nonconverge" in render_report(
+            summary)
 
     def test_disabled_recorder_stays_empty(self, tech, library):
         stage = builders.nand_gate(tech, 2)
@@ -243,9 +268,7 @@ class TestFailureBundleReplay:
             self, tech, library, tmp_path):
         """The acceptance path: forced Newton failure -> bundle ->
         replay reproduces the recorded trajectories bit-for-bit."""
-        configure_flight(FlightConfig(
-            enabled=True, capture_bundles=True,
-            bundle_dir=str(tmp_path)))
+        configure(ObsConfig(flight=True, bundle_dir=str(tmp_path)))
         options = QWMOptions(newton=NewtonOptions(max_iterations=2))
         evaluator = WaveformEvaluator(tech, library=library,
                                       options=options)
@@ -272,9 +295,7 @@ class TestFailureBundleReplay:
         assert "bit-for-bit identical: True" in result.render()
 
     def test_replay_detects_divergence(self, tech, library, tmp_path):
-        configure_flight(FlightConfig(
-            enabled=True, capture_bundles=True,
-            bundle_dir=str(tmp_path)))
+        configure(ObsConfig(flight=True, bundle_dir=str(tmp_path)))
         options = QWMOptions(newton=NewtonOptions(max_iterations=2))
         evaluator = WaveformEvaluator(tech, library=library,
                                       options=options)
@@ -322,9 +343,7 @@ class TestGoldenCapture:
                                      spice_slew=None,
                                      qwm_delay=10 * delay,
                                      qwm_slew=slew)
-        configure_flight(FlightConfig(
-            enabled=True, capture_bundles=True,
-            bundle_dir=str(tmp_path)))
+        configure(ObsConfig(flight=True, bundle_dir=str(tmp_path)))
         diffs = golden.check([record], tech, evaluator=evaluator)
         assert not diffs[0].ok
 
@@ -384,9 +403,8 @@ class TestCorruptedTableFixture:
                     return TableDeviceModel(bad_grid, self.tech.nmos)
                 return self._base.get(polarity, l)
 
-        rec = configure_flight(FlightConfig(
-            enabled=True, capture_bundles=True,
-            bundle_dir=str(tmp_path)))
+        rec = configure(ObsConfig(flight=True,
+                               bundle_dir=str(tmp_path))).flight
         evaluator = WaveformEvaluator(tech,
                                       library=CorruptLibrary(library))
         stage = builders.nand_gate(tech, 2)
@@ -414,7 +432,7 @@ class TestCacheAttribution:
                                              StageResultCache)
         from repro.circuit import extract_stages
 
-        rec = configure_flight(FlightConfig(enabled=True))
+        rec = configure(ObsConfig(flight=True)).flight
         netlist = builders.decoder_netlist(tech, bits=2)
         graph = extract_stages(netlist, tech=tech)
         analyzer = StaticTimingAnalyzer(

@@ -92,16 +92,13 @@ class TestSolverRules:
         assert diag.location.element == "telemetry"
 
     def test_telemetry_budget_quiet_when_enabled(self):
-        from repro.obs import ObsConfig, configure, disable
+        from repro.obs import recording
 
         options = SimpleNamespace(
             newton=SimpleNamespace(abstol=1e-10, xtol=1e-9,
                                    max_iterations=5))
-        configure(ObsConfig(enabled=True))
-        try:
+        with recording(trace=True, metrics=True):
             report = solver_report(LintContext(options=options))
-        finally:
-            disable()
         assert not any(d.rule == "SOL004-telemetry-budget"
                        for d in report)
 
@@ -199,14 +196,10 @@ class TestFlightLedgerBudget:
             execution=SimpleNamespace(workers=4, backend="process"))
 
     def test_warns_on_unbounded_parallel_capture(self):
-        from repro.obs import FlightConfig, configure_flight, \
-            disable_flight
+        from repro.obs import recording
 
-        configure_flight(FlightConfig(enabled=True, event_limit=None))
-        try:
+        with recording(flight=True, event_limit=None):
             report = solver_report(self._parallel_ctx())
-        finally:
-            disable_flight()
         (diag,) = [d for d in report
                    if d.rule == "SOL005-flight-ledger-budget"]
         assert diag.severity.value == "warning"
@@ -214,31 +207,23 @@ class TestFlightLedgerBudget:
         assert "unbounded" in diag.message
 
     def test_quiet_when_ledger_bounded(self):
-        from repro.obs import FlightConfig, configure_flight, \
-            disable_flight
+        from repro.obs import recording
 
-        configure_flight(FlightConfig(enabled=True, event_limit=5000))
-        try:
+        with recording(flight=True, event_limit=5000):
             report = solver_report(self._parallel_ctx())
-        finally:
-            disable_flight()
         assert not any(d.rule == "SOL005-flight-ledger-budget"
                        for d in report)
 
     def test_quiet_for_serial_run(self):
-        from repro.obs import FlightConfig, configure_flight, \
-            disable_flight
+        from repro.obs import recording
 
-        configure_flight(FlightConfig(enabled=True, event_limit=None))
-        try:
+        with recording(flight=True, event_limit=None):
             # No execution config at all, and an explicit serial one.
             bare = solver_report(LintContext(options=QWMOptions()))
             serial = solver_report(LintContext(
                 options=QWMOptions(),
                 execution=SimpleNamespace(workers=1,
                                           backend="serial")))
-        finally:
-            disable_flight()
         for report in (bare, serial):
             assert not any(d.rule == "SOL005-flight-ledger-budget"
                            for d in report)

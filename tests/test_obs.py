@@ -17,6 +17,8 @@ from repro.obs import (
     format_span_tree,
     inc,
     observe,
+    phase,
+    recording,
     set_gauge,
     span,
     telemetry,
@@ -29,16 +31,18 @@ from repro.spice import StepSource
 
 @pytest.fixture(autouse=True)
 def clean_telemetry():
-    """Every test starts and ends with the disabled default bundle."""
-    disable()
-    yield
-    disable()
+    """Every test starts with every recorder off; the saved bundle (a
+    session-wide armed flight recorder, if any) comes back afterwards."""
+    with recording():
+        disable()
+        yield
 
 
 class TestConfig:
     def test_defaults_disabled(self):
         config = ObsConfig()
-        assert not config.enabled
+        assert not (config.trace or config.metrics or config.profile
+                    or config.accuracy or config.flight)
         assert config.sink == "null"
 
     def test_rejects_unknown_sink(self):
@@ -54,6 +58,10 @@ class TestConfig:
             ObsConfig(trace_limit=0)
         with pytest.raises(ValueError):
             ObsConfig(max_series=0)
+        with pytest.raises(ValueError, match="max_cells"):
+            ObsConfig(max_cells=0)
+        with pytest.raises(ValueError, match="max_records"):
+            ObsConfig(max_records=0)
 
 
 class TestTracer:
@@ -281,8 +289,8 @@ class TestSinks:
 
     def test_jsonl_round_trip(self, tmp_path):
         path = str(tmp_path / "events.jsonl")
-        bundle = configure(ObsConfig(enabled=True, sink="jsonl",
-                                     sink_path=path))
+        bundle = configure(ObsConfig(trace=True, metrics=True,
+                                     sink="jsonl", sink_path=path))
         with span("qwm.region", k=1):
             pass
         with span("qwm.region", k=2):
@@ -317,19 +325,19 @@ class TestModuleHelpers:
         assert bundle.tracer.records() == []
 
     def test_configure_swaps_bundle(self):
-        first = configure(ObsConfig(enabled=True))
+        first = configure(ObsConfig(trace=True, metrics=True))
         assert telemetry() is first
         with span("x"):
             inc("c")
         second = disable()
         assert telemetry() is second
-        assert not second.enabled
+        assert second.config == ObsConfig()
         # New bundle starts empty; recording stopped.
         inc("c")
         assert second.metrics.names() == []
 
     def test_telemetry_export_helpers(self, tmp_path):
-        bundle = configure(ObsConfig(enabled=True))
+        bundle = configure(ObsConfig(trace=True, metrics=True))
         with span("s"):
             inc("c", 4)
         trace_path = bundle.export_trace(str(tmp_path / "t.json"))
@@ -337,6 +345,56 @@ class TestModuleHelpers:
         assert json.loads(open(trace_path).read())["traceEvents"]
         dump = json.loads(open(metrics_path).read())
         assert dump["metrics"]["c"]["series"][0]["value"] == 4
+
+
+class TestRecording:
+    """``recording()`` scopes recorder changes and restores exactly."""
+
+    def test_nested_recording_restores_same_outer_recorders(self):
+        default = telemetry()
+        with recording(metrics=True, profile=True) as outer:
+            inc("c", 2)
+            with phase("outer.phase"):
+                pass
+            cells = outer.profiler.to_json()
+            with recording(profile=True, flight=True) as inner:
+                # Already on with unchanged bounds, or not named: kept.
+                assert inner.profiler is outer.profiler
+                assert inner.metrics is outer.metrics
+                assert inner.tracer is outer.tracer
+                # Named and off before: built fresh.
+                assert inner.flight is not outer.flight
+                assert inner.flight.enabled
+                inc("c", 3)
+                configure(ObsConfig(metrics=True, profile=True))
+                inc("c", 100)
+                with phase("inner.phase"):
+                    pass
+                disable()
+            assert telemetry() is outer
+            assert outer.metrics.counter("c").value() == 5
+            assert outer.profiler.to_json() == cells
+            assert not outer.flight.enabled
+            inc("c")
+            assert outer.metrics.counter("c").value() == 6
+        assert telemetry() is default
+        assert default.config == ObsConfig()
+
+    def test_changed_bound_builds_fresh_recorder(self):
+        with recording(profile=True) as outer:
+            with recording(profile=True, max_cells=8) as inner:
+                assert inner.profiler is not outer.profiler
+                assert inner.profiler.max_cells == 8
+            assert telemetry().profiler is outer.profiler
+
+    def test_restores_after_exception(self):
+        saved = telemetry()
+        with pytest.raises(RuntimeError):
+            with recording(trace=True, metrics=True):
+                configure(ObsConfig(flight=True))
+                raise RuntimeError("boom")
+        assert telemetry() is saved
+        assert span("x") is NOOP_SPAN
 
 
 def _nand3_sources(tech):
@@ -348,7 +406,7 @@ def _nand3_sources(tech):
 class TestSolverIntegration:
     def test_nand3_metrics_match_solution_stats(self, tech, evaluator):
         stage = builders.nand_gate(tech, 3)
-        bundle = configure(ObsConfig(enabled=True))
+        bundle = configure(ObsConfig(trace=True, metrics=True))
         try:
             solution = evaluator.evaluate(
                 stage, output="out", direction="fall",
@@ -461,7 +519,7 @@ class TestPrometheusExposition:
 
 class TestTraceDropVisibility:
     def test_dropped_spans_feed_counter_and_tree_footer(self):
-        configure(ObsConfig(enabled=True, trace_limit=2))
+        configure(ObsConfig(trace=True, metrics=True, trace_limit=2))
         for _ in range(5):
             with span("s"):
                 pass

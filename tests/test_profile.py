@@ -20,19 +20,15 @@ from repro.circuit import builders, extract_stages
 from repro.cli import main
 from repro.obs import (
     NOOP_SPAN,
-    ObsConfig,
-    configure,
     count,
     disable,
     phase,
+    recording,
 )
 from repro.obs.accuracy import note_arc_candidate, note_region
 from repro.obs.profile import (
     LEDGER_FORMAT,
     PhaseProfiler,
-    ProfileConfig,
-    configure_profile,
-    disable_profile,
     export_speedscope,
     phase_self_seconds,
     profiler,
@@ -46,10 +42,11 @@ from repro.spice import ConstantSource, StepSource
 
 @pytest.fixture(autouse=True)
 def _profiler_off():
-    """Every test starts and ends with the module profiler disabled."""
-    disable_profile()
-    yield
-    disable_profile()
+    """Every test starts with every recorder off; the saved bundle (a
+    session-wide armed flight recorder, if any) comes back afterwards."""
+    with recording():
+        disable()
+        yield
 
 
 def _cells_by_path(ledger):
@@ -61,7 +58,7 @@ def _cells_by_path(ledger):
 # ----------------------------------------------------------------------
 class TestLedger:
     def test_nesting_splits_self_and_cumulative(self):
-        prof = PhaseProfiler(ProfileConfig(enabled=True))
+        prof = PhaseProfiler()
         with prof.phase("outer"):
             time.sleep(0.002)
             with prof.phase("inner"):
@@ -82,13 +79,13 @@ class TestLedger:
             outer["self_seconds"] + inner["self_seconds"])
 
     def test_tag_joins_into_frame_label(self):
-        prof = PhaseProfiler(ProfileConfig(enabled=True))
+        prof = PhaseProfiler()
         with prof.phase("qwm.phase3", tag="crossing"):
             pass
         assert ("qwm.phase3:crossing",) in _cells_by_path(prof.to_json())
 
     def test_ops_accumulate_within_a_frame(self):
-        prof = PhaseProfiler(ProfileConfig(enabled=True))
+        prof = PhaseProfiler()
         with prof.phase("solve") as frame:
             frame.count("newton_iterations", 3)
             frame.count("newton_iterations", 2)
@@ -97,7 +94,7 @@ class TestLedger:
         assert ops == {"newton_iterations": 5, "regions": 1}
 
     def test_add_attributes_to_current_frame_or_root(self):
-        prof = PhaseProfiler(ProfileConfig(enabled=True))
+        prof = PhaseProfiler()
         with prof.phase("outer"):
             prof.add("solves", 2)
         prof.add("cache_hits", root="sta.cache")
@@ -107,7 +104,7 @@ class TestLedger:
 
     def test_merge_is_commutative(self):
         def payload(n):
-            prof = PhaseProfiler(ProfileConfig(enabled=True))
+            prof = PhaseProfiler()
             with prof.phase("a") as frame:
                 frame.count("x", n)
                 with prof.phase("b"):
@@ -115,8 +112,8 @@ class TestLedger:
             return prof.drain()
 
         one, two = payload(1), payload(2)
-        ab = PhaseProfiler(ProfileConfig(enabled=True))
-        ba = PhaseProfiler(ProfileConfig(enabled=True))
+        ab = PhaseProfiler()
+        ba = PhaseProfiler()
         ab.merge(one), ab.merge(two)
         ba.merge(two), ba.merge(one)
         assert ab.to_json() == ba.to_json()
@@ -126,7 +123,7 @@ class TestLedger:
         assert merged[("a",)]["calls"] == 2
 
     def test_drain_snapshots_and_resets(self):
-        prof = PhaseProfiler(ProfileConfig(enabled=True))
+        prof = PhaseProfiler()
         with prof.phase("a"):
             pass
         first = prof.drain()
@@ -136,7 +133,7 @@ class TestLedger:
         assert prof.drain()["cells"] == []
 
     def test_max_cells_cap_counts_drops(self):
-        prof = PhaseProfiler(ProfileConfig(enabled=True, max_cells=2))
+        prof = PhaseProfiler(max_cells=2)
         for root in ("a", "b", "c", "d"):
             prof.add("x", root=root)
         stats = prof.stats()
@@ -226,22 +223,17 @@ def _observed_run(tech, library, graph, backend, workers):
     so those frames differ by construction. Every solver-side count
     must still agree bit-for-bit.
     """
-    configure_profile(ProfileConfig(enabled=True))
-    bundle = configure(ObsConfig(enabled=True))
-    try:
+    with recording(trace=True, metrics=True, profile=True) as bundle:
         analyzer = StaticTimingAnalyzer(
             tech, library=library,
             execution=ExecutionConfig(workers=workers, backend=backend))
         analyzer.analyze(graph)
-        ledger = profiler().drain()
+        ledger = bundle.profiler.drain()
         metrics = {name: bundle.metrics.counter(name).total()
                    for name in _MERGED_COUNTERS}
         metrics["qwm.newton.iterations:count"] = sum(
             series["count"] for series in bundle.metrics.histogram(
                 "qwm.newton.iterations").to_json()["series"])
-    finally:
-        disable_profile()
-        disable()
     totals = {}
     for cell in ledger["cells"]:
         path = tuple(cell["path"])
@@ -341,7 +333,7 @@ SPEEDSCOPE_SCHEMA = {
 
 
 def _sample_ledger():
-    prof = PhaseProfiler(ProfileConfig(enabled=True))
+    prof = PhaseProfiler()
     with prof.phase("sta.arc", tag="nand2"):
         with prof.phase("engine.evaluate", tag="nand2") as frame:
             frame.count("regions", 4)
