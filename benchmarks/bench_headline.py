@@ -11,8 +11,9 @@ double-digit average speedup at 1 ps with high-90s accuracy.
 The run executes under full telemetry and dumps the metrics registry to
 ``benchmarks/results/BENCH_headline.json`` (QWM vs SPICE step/NR/device
 counters plus the headline gauges) — the artifact CI uploads per
-commit.  Set ``BENCH_SMOKE=1`` to run the NAND2 experiment only and
-skip the aggregate assertions (the CI smoke configuration).  Set
+commit.  Set ``BENCH_SMOKE=1`` to run the NAND2 experiment only, skip
+the aggregate assertions and leave the committed ``headline.txt``
+untouched (the CI smoke configuration).  Set
 ``BENCH_PROFILE=1`` to additionally run under the phase profiler: the
 artifact and the history entry then carry a ``phases`` self-time
 section (the ``repro bench-diff`` attribution input) and a speedscope
@@ -154,13 +155,15 @@ def test_headline_aggregate(benchmark, tech, evaluator):
              f"{report.worst_error_percent:.2f}%", "3.66%"],
             ["circuits", str(len(rows)), "22"],
         ])
-    save_result("headline.txt", table)
-
     benchmark.extra_info["mean_speedup_1ps"] = mean_speedup
     benchmark.extra_info["accuracy_percent"] = report.accuracy_percent
     if SMOKE:
+        # One circuit is not the paper table: print it, keep the
+        # committed headline.txt.
+        print("\n" + table)
         pytest.skip("BENCH_SMOKE: metrics artifact written, aggregate "
                     "assertions skipped")
+    save_result("headline.txt", table)
     assert mean_speedup > 4.0
     assert report.accuracy_percent > 93.0
 

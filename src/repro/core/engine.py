@@ -24,6 +24,8 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
+import numpy as np
+
 from repro.circuit.netlist import LogicStage
 from repro.core.path import DischargePath, extract_path
 from repro.core.qwm import QWMOptions, QWMSolution, QWMSolver
@@ -60,6 +62,9 @@ class WaveformEvaluator:
         self.options = options or QWMOptions()
         self.preflight = preflight
         self._preflighted: set = set()
+        # Converged DC operating points by exact problem key (see
+        # :meth:`_dc_initial`); lives and dies with this evaluator.
+        self._dc_memo: Dict[tuple, np.ndarray] = {}
 
     def _preflight_stage(self, stage: LogicStage) -> None:
         """Lint a stage once (keyed by identity) before solving it."""
@@ -135,11 +140,20 @@ class WaveformEvaluator:
     def _dc_initial(self, path: DischargePath,
                     inputs: Dict[str, SourceLike],
                     t_start: float) -> Dict[str, float]:
-        """Pre-switching DC operating point of the full stage."""
+        """Pre-switching DC operating point of the full stage.
+
+        Solves are memoized per evaluator on the exact problem: the
+        static-residual key of the stage at these input levels plus the
+        bytes of the Newton seed.  Equal keys make identical
+        floating-point problems, so a hit returns the bits a fresh solve
+        would.  A solve that fell back to pseudo-transient settling read
+        the node capacitances, which the key leaves out, so it is not
+        stored; neither is a failed solve.
+        """
+        # Resolved at call time: instrumentation may wrap the module's
+        # ``solve_dc``.
         from repro.spice.dc import logic_initial_condition, solve_dc
         from repro.spice.mna import StageEquations
-
-        import numpy as np
 
         stage = path.stage
         sources = {k: as_source(v) for k, v in inputs.items()}
@@ -149,19 +163,28 @@ class WaveformEvaluator:
         equations = StageEquations(stage, self.tech)
         seed = logic_initial_condition(stage, levels)
         guess = np.array([seed[name] for name in equations.node_names])
-        try:
-            solution = solve_dc(equations, levels, initial_guess=guess)
-        except (NewtonConvergenceError, np.linalg.LinAlgError,
-                FloatingPointError, ZeroDivisionError,
-                OverflowError) as exc:
-            # A pathological bias (usually a floating pass-transistor
-            # net) can defeat the DC continuation; the analytic
-            # threshold-degraded estimate is the robust fallback.
-            # Only numerical failures are absorbed — a TypeError or a
-            # bad stage description must surface, not silently
-            # degrade the initial condition.
-            inc("engine.dc_fallback", exc=type(exc).__name__)
-            return self.default_initial(path, "degraded")
+        key = (equations.static_key(levels), guess.tobytes())
+        solution = self._dc_memo.get(key)
+        if solution is not None:
+            inc("engine.dc.reused")
+        else:
+            inc("engine.dc.solves")
+            try:
+                solution = solve_dc(equations, levels, initial_guess=guess)
+            except (NewtonConvergenceError, np.linalg.LinAlgError,
+                    FloatingPointError, ZeroDivisionError,
+                    OverflowError) as exc:
+                # A pathological bias (usually a floating
+                # pass-transistor net) can defeat the DC continuation;
+                # the analytic threshold-degraded estimate is the
+                # robust fallback.  Only numerical failures are
+                # absorbed — a TypeError or a bad stage description
+                # must surface, not silently degrade the initial
+                # condition.
+                inc("engine.dc_fallback", exc=type(exc).__name__)
+                return self.default_initial(path, "degraded")
+            if not equations.capacitance_evaluations:
+                self._dc_memo[key] = solution
         return {name: float(solution[equations.node_index(name)])
                 for name in path.node_names}
 

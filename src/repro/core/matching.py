@@ -121,8 +121,6 @@ class RegionSystem:
         self.order = order
         self.vdd = path.vdd
         self._min_delta = 1e-16
-        self._cache_key: Optional[bytes] = None
-        self._cache_value = None
         if isinstance(condition, TurnOnCondition):
             if not (2 <= condition.device_index <= path.length):
                 raise ValueError("turn-on device index out of range")
@@ -160,20 +158,9 @@ class RegionSystem:
 
         Returns ``(F, A, u_col)`` where the full Jacobian is
         ``A + u_col e_{M+1}^T`` (``u_col`` is zero in its last two rows,
-        whose tau' entries live inside the band).  Results are memoized
-        on ``x`` since the Newton driver requests the residual and the
-        Jacobian separately.
+        whose tau' entries live inside the band).
         """
-        key = np.asarray(x, dtype=float).tobytes()
-        if key == self._cache_key:
-            return self._cache_value
-        value = self._compute_parts(np.asarray(x, dtype=float))
-        self._cache_key = key
-        self._cache_value = value
-        return value
-
-    def _compute_parts(self, x: np.ndarray) -> Tuple[
-            np.ndarray, TridiagonalMatrix, np.ndarray]:
+        x = np.asarray(x, dtype=float)
         m = self.m
         n = m + 1
         u_new = x[:m]
@@ -261,7 +248,7 @@ class RegionSystem:
         return f, matrix, last_col
 
     def residual(self, x: np.ndarray) -> np.ndarray:
-        """Residual only (for the Newton driver)."""
+        """Residual only (tests and diagnostics)."""
         f, _, _ = self.residual_and_parts(x)
         return f
 
@@ -292,9 +279,9 @@ class RegionSystem:
             abstol=1e-10, xtol=1e-15, max_iterations=60)
         solver = NewtonSolver(opts)
 
-        def jacobian(x: np.ndarray):
-            _, matrix, last_col = self.residual_and_parts(x)
-            return (matrix, last_col)
+        def system(x: np.ndarray):
+            f, matrix, last_col = self.residual_and_parts(x)
+            return f, (matrix, last_col)
 
         # Linear-solve kinds are tallied in plain ints here and flushed
         # to the profiler once per region solve — never per Newton
@@ -320,7 +307,7 @@ class RegionSystem:
             return np.linalg.solve(dense, rhs)
 
         try:
-            result = solver.solve(self.residual, jacobian, x0,
+            result = solver.solve(system, x0,
                                   linear_solve=linear_solve,
                                   trajectory=trajectory)
             # Accuracy-observatory residual export: when an audit has

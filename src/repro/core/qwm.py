@@ -406,7 +406,9 @@ class QWMSolver:
                     i[:] = i_new
                     tau = tau_new
                     critical_times.append(tau)
-                if not ok:
+                # A pass that ran no sub-step (tau within the skip
+                # guard of the break) would find the same break again.
+                if not ok or tau == ramp_start:
                     break
                 brk = self._next_input_break(sources, tau)
             worklist = [f * path.vdd for f in opts.milestone_fractions]

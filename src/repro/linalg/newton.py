@@ -1,23 +1,26 @@
 """A damped Newton-Raphson driver.
 
-Shared by the SPICE engine (per-timestep nonlinear solves) and the QWM
-matcher (per-critical-point solves).  The driver is deliberately generic:
-callers supply a residual function, a Jacobian function, and optionally a
-custom linear solver (the QWM matcher plugs in the bordered-tridiagonal
+Shared by the SPICE engine (per-timestep nonlinear solves), the DC
+operating-point solver and the QWM matcher (per-critical-point solves).
+The driver is deliberately generic: callers supply one system function
+returning the residual and its Jacobian together (every caller's
+assembly produces both in one pass), and optionally a custom linear
+solver (the QWM matcher plugs in the bordered-tridiagonal
 Sherman-Morrison solve here).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.resilience import faults
 
-ResidualFn = Callable[[np.ndarray], np.ndarray]
-JacobianFn = Callable[[np.ndarray], np.ndarray]
+#: ``x -> (F(x), dF/dx)``.  The Jacobian may be any object the linear
+#: solve understands (a dense array for the default solve).
+SystemFn = Callable[[np.ndarray], Tuple[np.ndarray, Any]]
 LinearSolveFn = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 #: Machine-readable values of :attr:`NewtonConvergenceError.reason`.
@@ -81,8 +84,10 @@ class NewtonResult:
         iterations: Newton iterations actually used.
         residual_norm: final residual inf-norm.
         converged: always True on a returned result (failures raise).
-        function_evaluations: number of residual evaluations (includes
-            line-search probes).
+        function_evaluations: number of system evaluations: one at the
+            initial guess, one per iteration, plus the line-search
+            probes.  The Jacobian of the accepted point is reused, so
+            no point is evaluated twice.
     """
 
     x: np.ndarray
@@ -100,8 +105,8 @@ class NewtonSolver:
         >>> import numpy as np
         >>> solver = NewtonSolver()
         >>> result = solver.solve(
-        ...     residual=lambda x: np.array([x[0] ** 2 - 4.0]),
-        ...     jacobian=lambda x: np.array([[2.0 * x[0]]]),
+        ...     lambda x: (np.array([x[0] ** 2 - 4.0]),
+        ...                np.array([[2.0 * x[0]]])),
         ...     x0=np.array([1.0]),
         ... )
         >>> round(float(result.x[0]), 6)
@@ -112,18 +117,18 @@ class NewtonSolver:
 
     def solve(
         self,
-        residual: ResidualFn,
-        jacobian: JacobianFn,
+        system: SystemFn,
         x0: np.ndarray,
         linear_solve: Optional[LinearSolveFn] = None,
         trajectory: Optional[List[Dict[str, float]]] = None,
     ) -> NewtonResult:
-        """Solve ``residual(x) = 0`` starting from ``x0``.
+        """Solve ``F(x) = 0`` starting from ``x0``.
 
         Args:
-            residual: maps x to the residual vector F(x).
-            jacobian: maps x to dF/dx.  When ``linear_solve`` is provided
-                the Jacobian may be any object that solver understands.
+            system: maps x to ``(F(x), dF/dx)``.  When ``linear_solve``
+                is provided the Jacobian may be any object that solver
+                understands.  The Jacobian of each accepted point is
+                kept for the next iteration's step.
             x0: initial guess (not modified).
             linear_solve: optional ``(jacobian_value, rhs) -> update``;
                 defaults to ``numpy.linalg.solve``.
@@ -153,7 +158,8 @@ class NewtonSolver:
         if linear_solve is None:
             linear_solve = _dense_solve
         x = np.array(x0, dtype=float, copy=True)
-        f = np.asarray(residual(x), dtype=float)
+        f, jac = system(x)
+        f = np.asarray(f, dtype=float)
         evals = 1
         fnorm = _inf_norm(f)
         if trajectory is not None:
@@ -175,7 +181,6 @@ class NewtonSolver:
                     residual_norm=fnorm,
                     function_evaluations=evals,
                 )
-            jac = jacobian(x)
             try:
                 step = np.asarray(linear_solve(jac, f), dtype=float)
             except np.linalg.LinAlgError as exc:
@@ -197,7 +202,8 @@ class NewtonSolver:
                 step = np.clip(step, -opts.max_step, opts.max_step)
 
             x_new = x - step
-            f_new = np.asarray(residual(x_new), dtype=float)
+            f_new, jac_new = system(x_new)
+            f_new = np.asarray(f_new, dtype=float)
             evals += 1
             fnorm_new = _inf_norm(f_new)
             if not np.isfinite(fnorm_new):
@@ -213,18 +219,20 @@ class NewtonSolver:
                 shrink = 0.5
                 for _ in range(opts.line_search_tries):
                     x_try = x - shrink * step
-                    f_try = np.asarray(residual(x_try), dtype=float)
+                    f_try, jac_try = system(x_try)
+                    f_try = np.asarray(f_try, dtype=float)
                     evals += 1
                     fnorm_try = _inf_norm(f_try)
                     if fnorm_try < fnorm_new:
-                        x_new, f_new, fnorm_new = x_try, f_try, fnorm_try
+                        x_new, f_new, jac_new = x_try, f_try, jac_try
+                        fnorm_new = fnorm_try
                         accepted_shrink = shrink
                     if fnorm_try < fnorm:
                         break
                     shrink *= 0.5
 
             step_norm = _inf_norm(x_new - x)
-            x, f, fnorm = x_new, f_new, fnorm_new
+            x, f, jac, fnorm = x_new, f_new, jac_new, fnorm_new
             if trajectory is not None:
                 trajectory.append({"iteration": iteration,
                                    "residual_norm": fnorm,

@@ -29,9 +29,10 @@ names map onto the paper's cost model.
 
 from __future__ import annotations
 
+import threading
 from contextlib import contextmanager
 from dataclasses import replace
-from typing import Any, Dict, Iterator, Optional
+from typing import Any, Dict, Iterator, List, Optional
 
 from repro.obs.accuracy import (AccuracyObservatory,
                                 accuracy_regressions,
@@ -130,14 +131,27 @@ def telemetry() -> Telemetry:
     return RECORDING.bundle
 
 
+#: Bundles that open :func:`recording` blocks of this process will put
+#: back.  Their sinks must outlive any swap inside the blocks.
+_SAVED: List[Telemetry] = []
+_SAVED_LOCK = threading.Lock()
+
+
+def _retire(bundle: Telemetry) -> None:
+    """Close ``bundle``'s sink unless a bundle to be restored shares it."""
+    if all(bundle.tracer is not saved.tracer for saved in _SAVED):
+        bundle.close()
+
+
 def configure(config: ObsConfig) -> Telemetry:
     """Install a fresh bundle for ``config`` and return it.
 
-    The previous bundle's sink is closed.  Instrumented code reads the
-    bundle through the module-level helpers at each call, so the swap
-    takes effect immediately everywhere.
+    The previous bundle's sink is closed, unless an enclosing
+    :func:`recording` block will put back a bundle that writes to it.
+    Instrumented code reads the bundle through the module-level helpers
+    at each call, so the swap takes effect immediately everywhere.
     """
-    RECORDING.bundle.close()
+    _retire(RECORDING.bundle)
     bundle = Telemetry(config)
     RECORDING.update(bundle)
     return bundle
@@ -161,12 +175,15 @@ def recording(**changes: Any) -> Iterator[Telemetry]:
     """
     saved = RECORDING.bundle
     bundle = Telemetry(replace(saved.config, **changes), keep=saved)
+    with _SAVED_LOCK:
+        _SAVED.append(saved)
     RECORDING.update(bundle)
     try:
         yield bundle
     finally:
-        if RECORDING.bundle.tracer is not saved.tracer:
-            RECORDING.bundle.close()
+        with _SAVED_LOCK:
+            _retire(RECORDING.bundle)
+            _SAVED.remove(saved)
         RECORDING.update(saved)
 
 

@@ -55,6 +55,11 @@ CATALOG: Dict[str, Tuple[str, str, Optional[Tuple[float, ...]]]] = {
         "counter", "tabular device-model I/V evaluations", None),
     "device.table.cache": (
         "counter", "table-model library lookups by result label", None),
+    "engine.dc.solves": (
+        "counter", "DC initial-condition solves run (memo misses)", None),
+    "engine.dc.reused": (
+        "counter", "DC initial conditions reused from the evaluator's "
+                   "exact operating-point memo", None),
     "engine.dc_fallback": (
         "counter", "DC initial-condition solves that fell back to the "
                    "analytic threshold-degraded estimate, by exception "

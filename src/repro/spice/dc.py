@@ -57,22 +57,16 @@ def solve_dc(equations: StageEquations,
     while True:
         current_gmin = gmin
 
-        def residual(x: np.ndarray) -> np.ndarray:
-            f, _ = equations.static_residual(x, input_levels,
+        def system(x: np.ndarray):
+            return equations.static_residual(x, input_levels,
                                              gmin=current_gmin)
-            return f
-
-        def jacobian(x: np.ndarray) -> np.ndarray:
-            _, jac = equations.static_residual(x, input_levels,
-                                               gmin=current_gmin)
-            return jac
 
         if gmin <= gmin_final:
             solver = NewtonSolver(NewtonOptions(
                 abstol=abstol, xtol=1e-12, max_iterations=200,
                 max_step=0.3 * equations.vdd))
         try:
-            result = solver.solve(residual, jacobian, v)
+            result = solver.solve(system, v)
             v = result.x
         except NewtonConvergenceError:
             # Pseudo-transient continuation: the model's vds = 0 body-
@@ -114,19 +108,13 @@ def pseudo_transient_dc(equations: StageEquations,
         caps = equations.node_capacitances(v)
         v_old = v.copy()
 
-        def residual(x: np.ndarray) -> np.ndarray:
-            f, _ = equations.static_residual(x, input_levels, gmin=gmin)
-            return f + caps * (x - v_old) / dt
-
-        def jacobian(x: np.ndarray) -> np.ndarray:
-            _, jac = equations.static_residual(x, input_levels,
-                                               gmin=gmin)
-            jac = jac.copy()
+        def system(x: np.ndarray):
+            f, jac = equations.static_residual(x, input_levels, gmin=gmin)
             jac[np.diag_indices(equations.n)] += caps / dt
-            return jac
+            return f + caps * (x - v_old) / dt, jac
 
         try:
-            result = solver.solve(residual, jacobian, v)
+            result = solver.solve(system, v)
         except NewtonConvergenceError:
             dt *= 0.25
             if dt < 1e-16:

@@ -83,6 +83,7 @@ class StageEquations:
             name: i for i, name in enumerate(self.node_names)}
         self.n = len(self.node_names)
         self.device_evaluations = 0
+        self.capacitance_evaluations = 0
 
         models = {"n": nmos_model(tech), "p": pmos_model(tech)}
         self._transistors: List[_TransistorRef] = []
@@ -143,6 +144,30 @@ class StageEquations:
         return float(v[index])
 
     # ------------------------------------------------------------------
+    def static_key(self, gate_values: Dict[str, float]) -> tuple:
+        """Every value :meth:`static_residual` reads, as a hashable key.
+
+        Two stages with equal keys have bit-identical static residuals
+        at every ``v``: the key holds the supply, the unknown count and
+        the ordered transistor and wire lists (summation order matters
+        to the last bit), with floats compared by their bytes so that
+        ``-0.0`` and ``0.0`` stay apart.  Capacitances are left out:
+        only :meth:`node_capacitances` reads them, and it counts its
+        calls in :attr:`capacitance_evaluations`.
+        """
+        ints = [self.n, len(self._transistors), len(self._wires)]
+        floats = [self.vdd]
+        polarities = []
+        for t in self._transistors:
+            polarities.append(t.model.polarity)
+            ints += (t.src_index, t.snk_index)
+            floats += (t.w, t.l, gate_values[t.gate])
+        for wire in self._wires:
+            ints += (wire.src_index, wire.snk_index)
+            floats.append(wire.resistance)
+        return ("".join(polarities), tuple(ints),
+                np.array(floats, dtype=float).tobytes())
+
     def static_residual(self, v: np.ndarray,
                         gate_values: Dict[str, float],
                         gmin: float = 0.0
@@ -212,6 +237,7 @@ class StageEquations:
         capacitances (their coupling to moving inputs is handled
         separately via :attr:`gate_couplings`).
         """
+        self.capacitance_evaluations += 1
         caps = self._fixed_cap.copy()
         for idx in range(self.n):
             for kind, w in self._junctions[idx]:

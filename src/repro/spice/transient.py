@@ -139,29 +139,20 @@ class TransientSimulator:
                 miller[idx] = miller[idx] - cap * dvg
 
             if opts.method == "be":
-                def residual(x: np.ndarray) -> np.ndarray:
-                    f, _ = eq.static_residual(x, gate_new)
-                    return f + caps * (x - v_old) / dt + miller
-
-                def jacobian(x: np.ndarray) -> np.ndarray:
-                    _, jac = eq.static_residual(x, gate_new)
-                    jac = jac.copy()
+                def system(x: np.ndarray):
+                    f, jac = eq.static_residual(x, gate_new)
                     jac[np.diag_indices(eq.n)] += caps / dt
-                    return jac
+                    return f + caps * (x - v_old) / dt + miller, jac
             else:
                 # Trapezoidal: C*(v'-v)/dt = -(f(v') + f(v))/2 + inj.
-                def residual(x: np.ndarray) -> np.ndarray:
-                    f, _ = eq.static_residual(x, gate_new)
-                    return (0.5 * (f + f_static_prev)
-                            + caps * (x - v_old) / dt + miller)
-
-                def jacobian(x: np.ndarray) -> np.ndarray:
-                    _, jac = eq.static_residual(x, gate_new)
+                def system(x: np.ndarray):
+                    f, jac = eq.static_residual(x, gate_new)
                     jac = 0.5 * jac
                     jac[np.diag_indices(eq.n)] += caps / dt
-                    return jac
+                    return (0.5 * (f + f_static_prev)
+                            + caps * (x - v_old) / dt + miller), jac
 
-            result = solver.solve(residual, jacobian, v)
+            result = solver.solve(system, v)
             # Loose divergence guard only: Miller kicks legitimately push
             # floating nodes past the rails (no junction diodes in the
             # device model), so the bounds must not clip real charge.

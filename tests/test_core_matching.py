@@ -112,14 +112,6 @@ class TestJacobian:
         via_dense = np.linalg.solve(dense, f)
         np.testing.assert_allclose(via_sm, via_dense, rtol=1e-8)
 
-    def test_memoization_returns_same_object(self, stack_setup, tech):
-        path, sources = stack_setup
-        system, _ = _region(path, sources, 2, TurnOnCondition(3), tech)
-        x = np.array([2.8, 3.1, 15e-12])
-        a = system.residual_and_parts(x)
-        b = system.residual_and_parts(x.copy())
-        assert a is b
-
 
 class TestNewtonSolve:
     def test_solves_first_region_of_stack(self, stack_setup, tech):

@@ -103,6 +103,37 @@ class TestScheduler:
         assert sol.stats.wall_time > 0
 
 
+    def test_ramp_subdivision_ends_just_short_of_a_break(self):
+        """Phase 3 must leave the ramp loop when ``tau`` sits inside the
+        sub-step skip guard of the ramp end (it used to spin there)."""
+        import os
+        import subprocess
+        import sys
+        import textwrap
+
+        import repro
+
+        code = textwrap.dedent("""
+            from repro.circuit import builders
+            from repro.core import WaveformEvaluator
+            from repro.devices import CMOSP35 as tech
+            from repro.spice import RampSource
+
+            evaluator = WaveformEvaluator(tech)
+            evaluator.evaluate(
+                builders.inverter(tech), "out", "fall",
+                {"a": RampSource(0.0, tech.vdd, 0.0, 40e-12)},
+                t_start=40e-12 - 2.6e-26)
+        """)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.path.dirname(
+            os.path.dirname(os.path.abspath(repro.__file__)))
+        # In a child with a timeout: a regression hangs, it must not
+        # hang the suite.
+        subprocess.run([sys.executable, "-c", code], env=env,
+                       check=True, timeout=120)
+
+
 class TestSolutionApi:
     def test_to_transient_result_default_breakpoints(self, tech,
                                                      evaluator):

@@ -387,6 +387,19 @@ class TestRecording:
                 assert inner.profiler.max_cells == 8
             assert telemetry().profiler is outer.profiler
 
+    def test_inner_disable_keeps_the_restored_jsonl_sink(self, tmp_path):
+        path = tmp_path / "spans.jsonl"
+        with recording(trace=True, sink="jsonl", sink_path=str(path)):
+            with span("first"):
+                pass
+            with recording(metrics=True):
+                disable()
+            with span("second"):
+                pass
+        names = [json.loads(line)["name"]
+                 for line in path.read_text().splitlines()]
+        assert names == ["first", "second"]
+
     def test_restores_after_exception(self):
         saved = telemetry()
         with pytest.raises(RuntimeError):

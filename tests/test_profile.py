@@ -208,7 +208,10 @@ def decoder_graph(tech):
                           tech=tech)
 
 
-#: Worker-side metrics the process backend must ship home.
+#: Worker-side metrics the process backend must ship home.  The DC
+#: memo counters (``engine.dc.solves``/``engine.dc.reused``) are left
+#: out: each worker memoizes on its own evaluator, so their split
+#: differs from serial by construction, like device characterization.
 _MERGED_COUNTERS = ("qwm.solves", "sta.stage.solves",
                     "device.table.evaluations")
 

@@ -21,6 +21,7 @@ from repro.analysis.parallel import (
     stage_fingerprint,
 )
 from repro.circuit import builders, extract_stages
+from repro.obs import recording
 
 
 @pytest.fixture(scope="module")
@@ -72,6 +73,28 @@ def test_parallel_matches_serial(tech, library, decoder_graph,
         tech, library=library,
         execution=ExecutionConfig(workers=workers, backend=backend))
     assert_same_arrivals(analyzer.analyze(decoder_graph), serial_result)
+
+
+@pytest.mark.slow
+def test_dc_memo_counters_serial_and_process(tech, library,
+                                             decoder_graph):
+    """Each worker memoizes DC solves on its own evaluator: requests
+    (solves + reused) match serial, solves at most once per worker."""
+    def dc_counts(backend, workers):
+        with recording(metrics=True) as bundle:
+            StaticTimingAnalyzer(
+                tech, library=library,
+                execution=ExecutionConfig(workers=workers,
+                                          backend=backend)
+            ).analyze(decoder_graph)
+            return [bundle.metrics.counter(name).total()
+                    for name in ("engine.dc.solves", "engine.dc.reused")]
+
+    serial_solves, serial_reused = dc_counts("serial", 1)
+    process_solves, process_reused = dc_counts("process", 2)
+    assert serial_reused > 0
+    assert process_solves + process_reused == serial_solves + serial_reused
+    assert process_solves <= 2 * serial_solves
 
 
 @pytest.mark.parametrize("backend,workers", [
